@@ -74,5 +74,9 @@ class TypeMismatch(Error):
     """An expression combined values of incompatible result kinds."""
 
 
+class InvalidArgument(Error):
+    """A numeric argument is outside the range the operation accepts."""
+
+
 class ConfigTooLarge(Error):
     """A finite-enumeration configuration is outside the supported bounds."""

@@ -4,14 +4,15 @@ Everything here is arbitrary precision: rationals are `fractions.Fraction`
 (re-exported as `Rat`), polynomials keep Fraction coefficients in ascending
 order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
-meaningful.  The asymptotic helpers (limit at infinity, eventual sign,
-nonnegative integer roots) are the analysis primitives every other module
-leans on.
+meaningful.  The asymptotic helpers (limit at infinity, sign breaks from
+Sturm root isolation, eventual sign, nonnegative integer roots) are the
+analysis primitives every other module leans on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from .errors import ZeroDenominator, ZeroPolynomial
 
@@ -21,11 +22,6 @@ Rat = Fraction
 def rat(numerator, denominator=1) -> Rat:
     """Exact rational from integers (or anything Fraction accepts)."""
     return Fraction(numerator, denominator)
-
-
-def format_rat(q: Rat) -> str:
-    """Render `a/b`, omitting `/b` when the denominator is 1."""
-    return str(q)
 
 
 def _sign(q) -> int:
@@ -225,7 +221,7 @@ class ExtendedRat:
             return "+inf"
         if self.sign < 0:
             return "-inf"
-        return format_rat(self.value)
+        return str(self.value)
 
 
 PLUS_INFINITY = ExtendedRat(1)
@@ -352,20 +348,27 @@ def _variations(chain: list[Poly], x) -> int:
     return count
 
 
-def integer_roots_nonneg(p: Poly) -> frozenset[int]:
-    """Exactly the natural numbers n with p(n) = 0.
+def root_breaks(p: Poly) -> list[int]:
+    """The sorted naturals c such that p has a real root in (c - 1, c].
 
-    Sturm-chain bisection over [0, Cauchy bound] isolates real roots in
-    unit intervals; each candidate integer is then verified directly.
+    These are the only naturals where the sign of p on N can change: on the
+    naturals strictly between two consecutive breaks, before the first break
+    and after the last one, p has one nonzero sign.  Roots are isolated by
+    Sturm-chain bisection of the squarefree part over (-1, Cauchy bound],
+    so the work grows with the number of roots times the logarithm of the
+    bound, not with the size of the roots.
     """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
     if p.degree == 0:
-        return frozenset()
+        return []
+    if p.degree == 1:  # the one root is exact; no chain to bisect
+        root = -p.coeffs[0] / p.coeffs[1]
+        return [ceil(root)] if root > -1 else []
     sf = _squarefree(p)
     chain = _sturm_chain(sf)
     hi = root_bound(sf)
-    roots: set[int] = set()
+    breaks: list[int] = []
     # Root count in (lo, hi] is variations(lo) - variations(hi).
     stack = [(-1, hi, _variations(chain, -1), _variations(chain, hi))]
     while stack:
@@ -373,14 +376,33 @@ def integer_roots_nonneg(p: Poly) -> frozenset[int]:
         if vlo - vhi <= 0:
             continue
         if hi_ - lo == 1:
-            if hi_ >= 0 and p(hi_) == 0:
-                roots.add(hi_)
+            breaks.append(hi_)
             continue
         mid = (lo + hi_) // 2
         vmid = _variations(chain, mid)
         stack.append((lo, mid, vlo, vmid))
         stack.append((mid, hi_, vmid, vhi))
-    return frozenset(roots)
+    return sorted(breaks)
+
+
+def integer_roots_nonneg(p: Poly) -> frozenset[int]:
+    """Exactly the natural numbers n with p(n) = 0.
+
+    Every natural root c is a root break (a root lies in (c - 1, c]), so
+    these are the breaks of `root_breaks` where p itself vanishes.
+    """
+    return frozenset(c for c in root_breaks(p) if p(c) == 0)
+
+
+def sign_breaks(f: RatFun) -> list[int]:
+    """The sorted root breaks of f's numerator and denominator together.
+
+    Between consecutive breaks (and past the last) f has one nonzero sign
+    on the naturals; the zero function has no breaks.
+    """
+    if f.is_zero():
+        return []
+    return sorted(set(root_breaks(f.num)) | set(root_breaks(f.den)))
 
 
 def limit_at_infinity(f: RatFun) -> ExtendedRat:
@@ -396,13 +418,18 @@ def limit_at_infinity(f: RatFun) -> ExtendedRat:
     return PLUS_INFINITY if ratio > 0 else MINUS_INFINITY
 
 
-def eventual_sign(f: RatFun) -> tuple[int, int]:
+def eventual_sign(f: RatFun, breaks: list[int] | None = None) -> tuple[int, int]:
     """(sign, N0) with sign(f(n)) = sign for every integer n >= N0.
 
-    N0 is a sound Cauchy-bound threshold past every root of the numerator
-    and denominator; it is not required to be minimal.
+    N0 is one past the last sign break of f, or 0 when there is none: no
+    real root of the numerator or denominator lies beyond N0 - 1, and N0 is
+    exactly ceil(largest real root) + 1 when that root exceeds -1.
+    `breaks`, when given, must be `sign_breaks(f)`; callers that walk the
+    breaks pass them to avoid isolating the roots twice.
     """
     if f.is_zero():
         return 0, 0
+    if breaks is None:
+        breaks = sign_breaks(f)
     s = _sign(f.num.lead) * _sign(f.den.lead)
-    return s, max(root_bound(f.num), root_bound(f.den))
+    return s, breaks[-1] + 1 if breaks else 0

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .errors import FilterMismatch, NotStandardizable, ZeroDivisor, ZeroScalar
-from .exactnum import Rat, RatFun, eventual_sign, integer_roots_nonneg, limit_at_infinity
+from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivisor, ZeroScalar
+from .exactnum import Rat, RatFun, eventual_sign, integer_roots_nonneg, limit_at_infinity, sign_breaks
 from .galois import IdealDescriptor, in_ideal
 from .report import Report
 from .seqrep import RSeq, indicator, make_constant, make_identity
@@ -94,25 +94,37 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
 
 
 def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
-    """Exactly { n | a(n) <= b(n) } for the canonical representatives."""
+    """Exactly { n | a(n) <= b(n) } for the canonical representatives.
+
+    Each branch of a - b keeps one sign on its class between consecutive
+    sign breaks, so one probe decides a whole gap: the class points of a gap
+    whose sign differs from the branch's eventual sign are deviations
+    without being evaluated.  Only break points and exceptions are
+    evaluated one by one.
+    """
     a._same_algebra(b)
     d = a.rep - b.rep
     m = d.modulus
     residues = set()
-    candidates = set(d.exceptions)
+    truth: dict[int, bool] = {}
+    points = set(d.exceptions)
     for r, br in enumerate(d.branches):
-        sign, n0 = eventual_sign(br)
-        if sign <= 0:
+        breaks = sign_breaks(br)
+        sign, _ = eventual_sign(br, breaks)
+        eventual = sign <= 0
+        if eventual:
             residues.add(r)
-        candidates.update(range(r, n0, m))
-    plus, minus = [], []
-    for n in candidates:
-        truth = d.eval(n) <= 0
-        pure = n % m in residues
-        if truth and not pure:
-            plus.append(n)
-        elif not truth and pure:
-            minus.append(n)
+        lo = 0
+        for c in breaks:
+            first = lo + (r - lo) % m
+            if first < c and (br(first) < 0) != eventual:
+                truth.update(dict.fromkeys(range(first, c, m), not eventual))
+            if c % m == r:
+                points.add(c)
+            lo = c + 1
+    truth.update((n, d.eval(n) <= 0) for n in points)
+    plus = [n for n, t in truth.items() if t]
+    minus = [n for n, t in truth.items() if not t]
     return SetDescriptor(m, residues, plus=plus, minus=minus)
 
 
@@ -215,7 +227,7 @@ def archimedean_counterexample(kmax: int, f: FilterDescriptor) -> Report:
     the ordered algebra fails the Archimedean condition with witness omega.
     """
     if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+        raise InvalidArgument("kmax must be at least 1")
     report = Report(f"archimedean {f.render()} kmax={kmax}")
     w = omega(f)
     bad_le = [k for k in range(1, kmax + 1) if not leq(embed(k, f), w)]

@@ -11,7 +11,7 @@ equality means pointwise equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import MissingException, NotConvergent, UnboundedSequence
 from .exactnum import (
@@ -22,10 +22,6 @@ from .exactnum import (
     limit_at_infinity,
 )
 from .sets_filters import SetDescriptor
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class BSeqVerdict:
@@ -136,7 +132,7 @@ class RSeq:
     # -- ring operations -----------------------------------------------------
 
     def _merge(self, other: "RSeq", fun_op, val_op) -> "RSeq":
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         branches = [
             fun_op(self.branches[r % self.modulus], other.branches[r % other.modulus])
             for r in range(m)
@@ -208,15 +204,8 @@ class RSeq:
                 for n in integer_roots_nonneg(br.num):
                     if n % m == r:
                         candidates.add(n)
-        plus, minus = [], []
-        for n in candidates:
-            truth = self.eval(n) == 0
-            pure = n % m in residues
-            if truth and not pure:
-                plus.append(n)
-            elif not truth and pure:
-                minus.append(n)
-        return SetDescriptor(m, residues, plus=plus, minus=minus)
+        plus = [n for n in candidates if self.eval(n) == 0]
+        return SetDescriptor(m, residues, plus=plus, minus=candidates.difference(plus))
 
     # -- analysis -------------------------------------------------------------
 

@@ -11,14 +11,10 @@ of a fixed nonempty set).  Both give a decidable membership test.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 
 from .errors import InvalidFilter, SelfCheckFailed
 from .report import Report
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 class SetDescriptor:
@@ -164,25 +160,19 @@ class SetDescriptor:
         return out
 
     def _combine(self, other: "SetDescriptor", op) -> "SetDescriptor":
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         residues = frozenset(
             r for r in range(m) if op(r % self.modulus in self.residues, r % other.modulus in other.residues)
         )
-        plus, minus = [], []
-        for n in self.plus | self.minus | other.plus | other.minus:
-            truth = op(self.member(n), other.member(n))
-            pure = n % m in residues
-            if truth and not pure:
-                plus.append(n)
-            elif not truth and pure:
-                minus.append(n)
-        return SetDescriptor(m, residues, plus=plus, minus=minus)
+        touched = self.plus | self.minus | other.plus | other.minus
+        plus = [n for n in touched if op(self.member(n), other.member(n))]
+        return SetDescriptor(m, residues, plus=plus, minus=touched.difference(plus))
 
     def superset_of(self, other: "SetDescriptor") -> bool:
         # Residue classes of `other` must land inside ours (a missing class
         # leaves infinitely many points uncovered); finite parts checked
         # pointwise.  Equivalent to other.intersect(self.complement()).is_empty().
-        m = _lcm(self.modulus, other.modulus)
+        m = lcm(self.modulus, other.modulus)
         for r in range(m):
             if r % other.modulus in other.residues and r % self.modulus not in self.residues:
                 return False
@@ -228,12 +218,12 @@ class SetDescriptor:
 
 def _window_check(result: SetDescriptor, predicate, operands) -> None:
     """Pointwise self-test of descriptor algebra on a finite window."""
-    lcm = 1
+    period = 1
     horizon = 0
     for s in (*operands, result):
-        lcm = _lcm(lcm, s.modulus)
+        period = lcm(period, s.modulus)
         horizon = max(horizon, s._finite_horizon())
-    for n in range(4 * lcm + horizon + 1):
+    for n in range(4 * period + horizon + 1):
         if result.member(n) != predicate(n):
             raise SelfCheckFailed(f"descriptor algebra disagrees with pointwise semantics at n={n}")
 
@@ -294,10 +284,6 @@ class FilterDescriptor:
 
     def __repr__(self) -> str:
         return f"FilterDescriptor<{self.render()}>"
-
-
-def filter_contains(f: FilterDescriptor, j: SetDescriptor) -> bool:
-    return f.contains(j)
 
 
 def check_filter_axioms(f: FilterDescriptor, samples: list[SetDescriptor]) -> Report:

@@ -104,6 +104,11 @@ class TestSubcommands:
         assert "1..25" in text
         assert "negative-control" in text
 
+    def test_check_archimedean_rejects_nonpositive_kmax(self):
+        for kmax in ("0", "-3"):
+            code, text = run_cli("check", "archimedean", "--kmax", kmax)
+            assert (code, text) == (1, "error: InvalidArgument\n")
+
     def test_sum_requires_polynomial_terms(self):
         code, text = run_cli("sum", "1/(n+1)")
         assert (code, text) == (1, "error: NonPolynomialTerms\n")

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
+from scan import horner, integer_coeffs
 
 from gscalars.errors import ZeroDenominator, ZeroPolynomial
 from gscalars.exactnum import (
@@ -17,10 +19,15 @@ from gscalars.exactnum import (
     poly_interpolate,
     rat,
     root_bound,
+    root_breaks,
+    sign_breaks,
 )
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+far_rats = st.fractions(min_value=-(10**5), max_value=10**5, max_denominator=7)
+# n^2 + c with c > 0: a factor without real roots.
+no_real_root_shifts = st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20)
 
 
 def poly_from(coeffs):
@@ -29,6 +36,16 @@ def poly_from(coeffs):
 
 def ratfun(num, den=(1,)):
     return RatFun(poly_from(num), poly_from(den))
+
+
+def poly_with_roots(roots, shifts=(), lead=1):
+    """lead * prod(n - r) * prod(n^2 + c): its real roots are exactly `roots`."""
+    p = Poly.constant(lead)
+    for r in roots:
+        p = p * poly_from([-r, 1])
+    for c in shifts:
+        p = p * poly_from([c, 0, 1])
+    return p
 
 
 class TestRatField:
@@ -135,8 +152,54 @@ class TestIntegerRoots:
         if p.is_zero():
             return
         window = root_bound(p) + 1
-        expected = frozenset(n for n in range(window) if p(n) == 0)
+        (coeffs,) = integer_coeffs(p)
+        expected = frozenset(n for n in range(window) if horner(coeffs, n) == 0)
         assert integer_roots_nonneg(p) == expected
+
+
+class TestRootBreaks:
+    def test_examples(self):
+        assert root_breaks(poly_from([-3, 1]) * poly_from([-5, 1])) == [3, 5]
+        assert root_breaks(poly_from([-7, 2])) == [4]  # root 7/2 in (3, 4]
+        assert root_breaks(poly_from([1, 2])) == [0]  # root -1/2 in (-1, 0]
+        assert root_breaks(poly_from([1, 1])) == []  # root -1 is below every break
+        assert root_breaks(poly_from([1, 0, 1])) == []
+        assert root_breaks(poly_from([5])) == []
+        with pytest.raises(ZeroPolynomial):
+            root_breaks(Poly())
+
+    @given(
+        st.lists(st.one_of(small_rats, far_rats), min_size=1, max_size=4),
+        st.lists(no_real_root_shifts, max_size=2),
+        st.sampled_from([1, -3, rat(2, 7)]),
+        st.booleans(),
+    )
+    def test_breaks_bracket_every_root(self, roots, shifts, lead, double):
+        if double:
+            roots = roots + roots[:1]
+        breaks = root_breaks(poly_with_roots(roots, shifts, lead))
+        # c is a break exactly when some real root lies in (c - 1, c].
+        assert breaks == sorted({ceil(x) for x in roots if x > -1})
+
+    @given(
+        st.lists(st.one_of(small_rats, far_rats), max_size=3),
+        st.lists(small_rats, max_size=2),
+        st.lists(no_real_root_shifts, max_size=1),
+        st.sampled_from([1, -2, rat(1, 3)]),
+    )
+    def test_eventual_threshold_tight_and_sound(self, num_roots, den_roots, shifts, lead):
+        f = RatFun(poly_with_roots(num_roots, shifts, lead), poly_with_roots(den_roots))
+        breaks = sign_breaks(f)
+        sign, n0 = eventual_sign(f)
+        assert (sign, n0) == eventual_sign(f, breaks)
+        real = num_roots + den_roots
+        assert n0 <= (max(0, ceil(max(real)) + 1) if real else 0)
+        # Scan from the threshold to past the largest root, where the sign is final.
+        num, den = integer_coeffs(f.num, f.den)
+        top = max([n0, *(ceil(x) for x in real)]) + 10
+        for n in range(n0, top):
+            value = horner(num, n) * horner(den, n)
+            assert (value > 0) - (value < 0) == sign
 
 
 class TestRatFun:

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from scan import branch_polys, horner, int_branches, root_free_beyond
 
 from gscalars.errors import FilterMismatch, NotStandardizable, ZeroDivisor, ZeroScalar
 from gscalars.exactnum import Poly, RatFun, rat
@@ -23,6 +25,7 @@ from gscalars.sampling import (
     random_ideal_member,
     random_infinite_rseq,
     random_infinitesimal_rseq,
+    random_nonempty_set,
     random_principal_filter,
     random_rat,
     random_rseq,
@@ -39,6 +42,48 @@ def poly(*coeffs):
 
 def harmonic_tail(overrides=None):
     return RSeq(1, [RatFun(poly(1), poly(1, 1))], overrides or {})
+
+
+def far_branch(rng):
+    """A branch whose real roots sit at a crossing r pushed out to 10^3..10^5."""
+    r = int(10 ** rng.uniform(3, 5))
+    kind = rng.randrange(4)
+    if kind == 0:
+        num = poly(-r, 1)
+    elif kind == 1:
+        num = poly(-r, 1) * poly(-r, 1)  # double root: touches 0 without crossing
+    elif kind == 2:
+        num = poly(-r, 1) * poly(-(r + rng.randint(1, 40)), 1)
+    else:
+        num = poly(-(2 * r + 1), 2) * poly(1, 0, 1)  # root r + 1/2, between naturals
+    den = rng.choice([poly(1), poly(rng.randint(1, 9), 1), poly(1, 0, 1)])
+    scale = rng.choice([1, -1, rat(3, 2), rat(-1, 4)])
+    return RatFun(num.scale(scale), den), r
+
+
+def far_rseq(rng):
+    """(x, crossings): exceptions land near the crossings as well as near 0."""
+    m = rng.randint(1, 3)
+    branches, crossings = zip(*(far_branch(rng) for _ in range(m)))
+    near = [rng.randint(0, 50)] + [r + rng.randint(-2, 2) for r in crossings]
+    exceptions = {n: random_rat(rng) for n in rng.sample(near, rng.randint(0, len(near)))}
+    return RSeq(m, list(branches), exceptions), list(crossings)
+
+
+def pointwise_le(x, y, window):
+    """[x(n) <= y(n) for n < window], exact in integer arithmetic off the exceptions."""
+    xb, yb = int_branches(x), int_branches(y)
+    special = set(x.exceptions) | set(y.exceptions)
+    out = []
+    for n in range(window):
+        if n in special:
+            out.append(x.eval(n) <= y.eval(n))
+            continue
+        xn, xd = (horner(c, n) for c in xb[n % x.modulus])
+        yn, yd = (horner(c, n) for c in yb[n % y.modulus])
+        # xn/xd <= yn/yd, both sides multiplied by (xd * yd)^2 > 0
+        out.append(xn * xd * yd * yd <= yn * yd * xd * xd)
+    return out
 
 
 class TestScalarEq:
@@ -174,6 +219,64 @@ class TestOrder:
             ls = le_set(a, b)
             for n in range(150):
                 assert ls.member(n) == (x.eval(n) <= y.eval(n))
+
+    def test_le_set_integer_crossings_and_double_root(self):
+        # Class 0 is negative strictly between its roots 1000 and 1011 (only
+        # 1000 is even); class 1 touches 0 at the double root 2001 only.
+        branches = [RatFun(poly(-1000, 1) * poly(-1011, 1)), RatFun(poly(-2001, 1) * poly(-2001, 1))]
+        x = Scalar(RSeq(2, branches), FRECHET)
+        expected = SetDescriptor.finite([*range(1000, 1011, 2), 2001])
+        assert le_set(x, embed(0, FRECHET)) == expected
+        f = FilterDescriptor.principal(expected)
+        assert leq(Scalar(x.rep, f), embed(0, f))
+
+    def test_le_set_matches_scan_past_far_crossings(self):
+        rng = random.Random(127)
+        for _ in range(12):
+            x, crossings = far_rseq(rng)
+            y = rng.choice([
+                lambda: far_rseq(rng)[0],
+                lambda: random_rseq(rng, 3, 2),
+                lambda: make_constant(random_rat(rng)),
+            ])()
+            near = SetDescriptor.finite(r + rng.randint(-1, 1) for r in crossings)
+            base = rng.choice([random_nonempty_set(rng), near, near.union(SetDescriptor.evens())])
+            period = lcm(x.modulus, y.modulus, base.modulus)
+            horizon = max([*x.exceptions, *y.exceptions, base._finite_horizon()])
+            # Past `start` every class keeps one truth value.
+            start = max(root_free_beyond(branch_polys(x - y)), horizon) + 1
+            window = start + 2 * period
+            truth = pointwise_le(x, y, window)
+            if rng.random() < 0.3:
+                # A finite base where the order holds, so that leq is true.
+                held = [n for r in crossings for n in range(r - 3, r + 4) if n < window and truth[n]]
+                base = SetDescriptor.finite(held[:3]) if held else base
+
+            ls = le_set(Scalar(x, FRECHET), Scalar(y, FRECHET))
+            assert [ls.member(n) for n in range(window)] == truth
+            assert max(ls.plus | ls.minus, default=0) < start
+            tail = truth[window - period:]
+            assert leq(Scalar(x, FRECHET), Scalar(y, FRECHET)) == all(tail)
+            f = FilterDescriptor.principal(base)
+            expected = all(t for n, t in enumerate(truth) if base.member(n))
+            assert leq(Scalar(x, f), Scalar(y, f)) == expected
+
+    def test_le_set_evaluations_grow_with_roots_not_crossing(self, monkeypatch):
+        calls = 0
+        evaluate = Poly.__call__
+
+        def counting(self, n):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, n)
+
+        a, w = embed(10**6, FRECHET), omega(FRECHET)
+        monkeypatch.setattr(Poly, "__call__", counting)
+        ls = le_set(a, w)
+        assert calls < 200
+        # 10^6 <= n + 1 exactly from n = 999999 on.
+        assert (ls.modulus, ls.residues, ls.plus) == (1, frozenset({0}), frozenset())
+        assert ls.minus == frozenset(range(10**6 - 1))
 
     def test_antisymmetric_transitive_translation(self):
         rng = random.Random(113)

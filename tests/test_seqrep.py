@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from scan import horner, int_branches, root_free_beyond
 
 from gscalars.errors import MissingException, NotConvergent, UnboundedSequence
 from gscalars.exactnum import Poly, RatFun, rat
-from gscalars.sampling import random_convergent_rseq, random_rseq
+from gscalars.sampling import random_convergent_rseq, random_rat, random_rseq
 from gscalars.seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import SetDescriptor
 
@@ -217,6 +218,32 @@ class TestBounds:
             lo, hi = self.window_bounds(x)
             assert x.inf_val() == lo
             assert x.sup_val() == hi
+
+    def test_far_extremum_matches_window_scan(self):
+        # c (n - r)(n - s) / (n^2 + 1) tends to c but turns back between its
+        # roots, so each class is monotone only from about r on.
+        rng = random.Random(47)
+        for _ in range(8):
+            m = rng.randint(1, 2)
+            branches = []
+            for _ in range(m):
+                r = int(10 ** rng.uniform(3, 3.7))
+                num = poly(-r, 1) * poly(-(r + rng.randint(0, 300)), 1)
+                branches.append(RatFun(num.scale(rng.choice([1, -2, rat(1, 3)])), poly(1, 0, 1)))
+            exceptions = {rng.randint(0, 40): random_rat(rng) for _ in range(rng.randint(0, 2))}
+            x = RSeq(m, branches, exceptions)
+            steps = [br.shift_arg(x.modulus) - br for br in x.branches]
+            monotone = root_free_beyond([p for d in steps for p in (d.num, d.den) if not p.is_zero()])
+            window = max(monotone, *x.exceptions, 0) + 2 * x.modulus
+            ints = int_branches(x)
+            values = [
+                x.exceptions[n] if n in x.exceptions
+                else Fraction(*(horner(c, n) for c in ints[n % x.modulus]))
+                for n in range(window)
+            ]
+            limits = [l.value for l in x.branch_limits()]
+            assert x.inf_val() == min(values + limits)
+            assert x.sup_val() == max(values + limits)
 
     def test_limit_between_bounds(self):
         rng = random.Random(41)
