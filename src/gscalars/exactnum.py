@@ -12,7 +12,6 @@ analysis primitives every other module leans on.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
 
 from .errors import ZeroDenominator, ZeroPolynomial
 
@@ -362,9 +361,6 @@ def root_breaks(p: Poly) -> list[int]:
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
     if p.degree == 0:
         return []
-    if p.degree == 1:  # the one root is exact; no chain to bisect
-        root = -p.coeffs[0] / p.coeffs[1]
-        return [ceil(root)] if root > -1 else []
     sf = _squarefree(p)
     chain = _sturm_chain(sf)
     hi = root_bound(sf)
@@ -418,18 +414,15 @@ def limit_at_infinity(f: RatFun) -> ExtendedRat:
     return PLUS_INFINITY if ratio > 0 else MINUS_INFINITY
 
 
-def eventual_sign(f: RatFun, breaks: list[int] | None = None) -> tuple[int, int]:
+def eventual_sign(f: RatFun) -> tuple[int, int]:
     """(sign, N0) with sign(f(n)) = sign for every integer n >= N0.
 
     N0 is one past the last sign break of f, or 0 when there is none: no
     real root of the numerator or denominator lies beyond N0 - 1, and N0 is
     exactly ceil(largest real root) + 1 when that root exceeds -1.
-    `breaks`, when given, must be `sign_breaks(f)`; callers that walk the
-    breaks pass them to avoid isolating the roots twice.
     """
     if f.is_zero():
         return 0, 0
-    if breaks is None:
-        breaks = sign_breaks(f)
+    breaks = sign_breaks(f)
     s = _sign(f.num.lead) * _sign(f.den.lead)
     return s, breaks[-1] + 1 if breaks else 0

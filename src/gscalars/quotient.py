@@ -13,7 +13,7 @@ import enum
 from fractions import Fraction
 
 from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivisor, ZeroScalar
-from .exactnum import Rat, RatFun, eventual_sign, integer_roots_nonneg, limit_at_infinity, sign_breaks
+from .exactnum import Rat, RatFun, integer_roots_nonneg, limit_at_infinity, sign_breaks
 from .galois import IdealDescriptor, in_ideal
 from .report import Report
 from .seqrep import RSeq, indicator, make_constant, make_identity
@@ -110,8 +110,8 @@ def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
     points = set(d.exceptions)
     for r, br in enumerate(d.branches):
         breaks = sign_breaks(br)
-        sign, _ = eventual_sign(br, breaks)
-        eventual = sign <= 0
+        # Past the last break the sign is that of the leading coefficients.
+        eventual = br.num.lead * br.den.lead <= 0
         if eventual:
             residues.add(r)
         lo = 0
