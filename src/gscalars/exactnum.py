@@ -11,6 +11,7 @@ analysis primitives every other module leans on.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ZeroDenominator, ZeroPolynomial
@@ -31,22 +32,20 @@ def _sign(q) -> int:
     return 0
 
 
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Polynomial over Q; coefficients ascending by degree, no trailing zeros.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Rat, ...]
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def constant(cls, c) -> "Poly":
@@ -75,12 +74,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
@@ -180,22 +173,18 @@ def poly_interpolate(points: list[tuple[int, Rat]]) -> Poly:
     return poly
 
 
+@dataclass(frozen=True, slots=True)
 class ExtendedRat:
     """A rational value extended with out-of-field +/- infinity markers."""
 
-    __slots__ = ("sign", "value")
+    sign: int
+    value: Rat | None = None
 
-    def __init__(self, sign: int, value=None):
-        if sign == 0:
-            object.__setattr__(self, "value", Fraction(value))
-        else:
-            if sign not in (1, -1) or value is not None:
-                raise ValueError("infinite ExtendedRat carries no payload")
-            object.__setattr__(self, "value", None)
-        object.__setattr__(self, "sign", sign)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendedRat is immutable")
+    def __post_init__(self):
+        if self.sign == 0:
+            object.__setattr__(self, "value", Fraction(self.value))
+        elif self.sign not in (1, -1) or self.value is not None:
+            raise ValueError("infinite ExtendedRat carries no payload")
 
     @classmethod
     def finite(cls, q) -> "ExtendedRat":
@@ -204,16 +193,6 @@ class ExtendedRat:
     @property
     def is_finite(self) -> bool:
         return self.sign == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtendedRat)
-            and self.sign == other.sign
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.value))
 
     def __repr__(self) -> str:
         if self.sign > 0:
@@ -227,6 +206,7 @@ PLUS_INFINITY = ExtendedRat(1)
 MINUS_INFINITY = ExtendedRat(-1)
 
 
+@dataclass(frozen=True, slots=True)
 class RatFun:
     """Rational function num/den in canonical form.
 
@@ -234,7 +214,8 @@ class RatFun:
     0/1.  Structural equality of canonical values is semantic equality.
     """
 
-    __slots__ = ("num", "den")
+    num: Poly
+    den: Poly
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
@@ -257,9 +238,6 @@ class RatFun:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *_):
-        raise AttributeError("RatFun is immutable")
-
     @classmethod
     def constant(cls, c) -> "RatFun":
         return cls(Poly.constant(c))
@@ -276,12 +254,6 @@ class RatFun:
 
     def __call__(self, n) -> Rat:
         return self.num(n) / self.den(n)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)

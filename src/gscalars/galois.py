@@ -2,8 +2,8 @@
 filters on the index set, plus their roundtrip and closure checks.
 
 In the representable class every ideal in scope is induced by a filter
-(membership: the zero set belongs to the filter), so ideals are carried by
-their filter and no independent ideal representation exists.
+(membership: the zero set belongs to the filter), so an ideal is passed as
+the FilterDescriptor that induces it; there is no separate ideal type.
 """
 
 from __future__ import annotations
@@ -13,29 +13,9 @@ from .seqrep import RSeq, indicator, make_constant
 from .sets_filters import FilterDescriptor, SetDescriptor
 
 
-class IdealDescriptor:
-    """The ideal { x | zero_set(x) in F } for a decidable filter F."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, f: FilterDescriptor):
-        object.__setattr__(self, "filter", f)
-
-    def __setattr__(self, *_):
-        raise AttributeError("IdealDescriptor is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IdealDescriptor) and self.filter == other.filter
-
-    def __hash__(self) -> int:
-        return hash(("ideal", self.filter))
-
-    def __repr__(self) -> str:
-        return f"IdealDescriptor<{self.filter.render()}>"
-
-
-def in_ideal(x: RSeq, ideal: IdealDescriptor) -> bool:
-    return ideal.filter.contains(x.zero_set())
+def in_ideal(x: RSeq, f: FilterDescriptor) -> bool:
+    """Membership in the ideal { x | zero_set(x) in f } induced by the filter."""
+    return f.contains(x.zero_set())
 
 
 def realize_zero_set(j: SetDescriptor) -> RSeq:
@@ -46,10 +26,9 @@ def realize_zero_set(j: SetDescriptor) -> RSeq:
 def roundtrip_filter(f: FilterDescriptor, samples: list[SetDescriptor]) -> Report:
     """Membership survives the filter -> ideal -> filter roundtrip on samples."""
     report = Report(f"galois-roundtrip {f.render()}")
-    ideal = IdealDescriptor(f)
     bad = []
     for j in samples:
-        via_ideal = in_ideal(realize_zero_set(j), ideal)
+        via_ideal = in_ideal(realize_zero_set(j), f)
         direct = f.contains(j)
         if via_ideal != direct:
             bad.append(j)
@@ -61,30 +40,30 @@ def roundtrip_filter(f: FilterDescriptor, samples: list[SetDescriptor]) -> Repor
     return report
 
 
-def ideal_closure_check(ideal: IdealDescriptor, samples: list[RSeq]) -> Report:
-    """Ideal axioms exercised on sample sequences."""
-    report = Report(f"ideal-closure {ideal.filter.render()}")
-    members = [x for x in samples if in_ideal(x, ideal)]
+def ideal_closure_check(f: FilterDescriptor, samples: list[RSeq]) -> Report:
+    """Axioms of the ideal induced by f, exercised on sample sequences."""
+    report = Report(f"ideal-closure {f.render()}")
+    members = [x for x in samples if in_ideal(x, f)]
 
     bad_sum = [
         (x, y)
         for i, x in enumerate(members)
         for y in members[i:]
-        if not in_ideal(x + y, ideal)
+        if not in_ideal(x + y, f)
     ]
     report.check(f"addition-closure ({len(members)} members)", not bad_sum)
 
     bad_absorb = [
-        (x, y) for x in members for y in samples if not in_ideal(x * y, ideal)
+        (x, y) for x in members for y in samples if not in_ideal(x * y, f)
     ]
     report.check("product-absorption", not bad_absorb)
 
     bad_scale = []
     for x in samples:
         for c in (2, -1, 7):
-            if in_ideal(x, ideal) != in_ideal(x.scale(c), ideal):
+            if in_ideal(x, f) != in_ideal(x.scale(c), f):
                 bad_scale.append((x, c))
     report.check("nonzero-scaling-invariance", not bad_scale)
 
-    report.check("properness (1 not a member)", not in_ideal(make_constant(1), ideal))
+    report.check("properness (1 not a member)", not in_ideal(make_constant(1), f))
     return report

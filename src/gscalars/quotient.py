@@ -10,11 +10,12 @@ embedded rational), and has zero divisors (disjoint-support indicators).
 from __future__ import annotations
 
 import enum
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivisor, ZeroScalar
 from .exactnum import Rat, RatFun, integer_roots_nonneg, limit_at_infinity, sign_breaks
-from .galois import IdealDescriptor, in_ideal
+from .galois import in_ideal
 from .report import Report
 from .seqrep import RSeq, indicator, make_constant, make_identity
 from .sets_filters import FilterDescriptor, SetDescriptor
@@ -31,25 +32,19 @@ class Classification(enum.Enum):
         return self.value
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Scalar:
-    """An equivalence class of representable sequences modulo a filter ideal."""
+    """An equivalence class of representable sequences modulo a filter ideal.
 
-    __slots__ = ("rep", "filter")
+    Python equality is identity; equality in the algebra is `scalar_eq`.
+    """
 
-    def __init__(self, rep: RSeq, f: FilterDescriptor):
-        object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "filter", f)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
+    rep: RSeq
+    filter: FilterDescriptor
 
     def _same_algebra(self, other: "Scalar") -> None:
         if self.filter != other.filter:
             raise FilterMismatch("scalars live in different quotient algebras")
-
-    @property
-    def ideal(self) -> IdealDescriptor:
-        return IdealDescriptor(self.filter)
 
     # -- ring structure ------------------------------------------------------
 
@@ -90,7 +85,7 @@ def omega(f: FilterDescriptor) -> Scalar:
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
     a._same_algebra(b)
-    return in_ideal(a.rep - b.rep, a.ideal)
+    return in_ideal(a.rep - b.rep, a.filter)
 
 
 def le_set(a: Scalar, b: Scalar) -> SetDescriptor:

@@ -10,6 +10,7 @@ equality means pointwise equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -24,21 +25,16 @@ from .exactnum import (
 from .sets_filters import SetDescriptor
 
 
+@dataclass(frozen=True, slots=True)
 class BSeqVerdict:
     """Convergent(limit) / BoundedDivergent / Unbounded, mutually exclusive."""
 
-    __slots__ = ("kind", "limit")
+    kind: str
+    limit: Rat | None = None
 
     CONVERGENT = "Convergent"
     BOUNDED_DIVERGENT = "BoundedDivergent"
     UNBOUNDED = "Unbounded"
-
-    def __init__(self, kind: str, limit: Rat | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "limit", limit)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BSeqVerdict is immutable")
 
     @classmethod
     def convergent(cls, limit) -> "BSeqVerdict":
@@ -52,28 +48,26 @@ class BSeqVerdict:
     def unbounded(cls) -> "BSeqVerdict":
         return cls(cls.UNBOUNDED)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BSeqVerdict) and (self.kind, self.limit) == (other.kind, other.limit)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.limit))
-
     def __repr__(self) -> str:
         if self.kind == self.CONVERGENT:
             return f"Convergent({self.limit})"
         return self.kind
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RSeq:
     """A representable sequence N -> Q.
 
     eval(n) is the override value when n is an exception key, otherwise
     branches[n mod modulus](n).  Construction canonicalizes and insists
     every branch-denominator root inside its class is declared as an
-    exception, so eval is total.
+    exception, so eval is total.  `exceptions` is a dict, so equality and
+    hashing are written out below.
     """
 
-    __slots__ = ("modulus", "branches", "exceptions", "_hash")
+    modulus: int
+    branches: tuple[RatFun, ...]
+    exceptions: dict[int, Rat]
 
     def __init__(self, modulus: int, branches, exceptions=None):
         branches = tuple(b if isinstance(b, RatFun) else RatFun(b) for b in branches)
@@ -113,10 +107,6 @@ class RSeq:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "exceptions", pruned)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RSeq is immutable")
 
     # -- evaluation --------------------------------------------------------
 
@@ -177,13 +167,7 @@ class RSeq:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self,
-                "_hash",
-                hash((self.modulus, self.branches, tuple(sorted(self.exceptions.items())))),
-            )
-        return self._hash
+        return hash((self.modulus, self.branches, tuple(sorted(self.exceptions.items()))))
 
     # -- structure ----------------------------------------------------------
 

@@ -10,31 +10,27 @@ against direct summation; a mismatch is a hard failure, never a warning.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPolynomialTerms, SelfCheckFailed
-from .exactnum import RatFun, poly_interpolate
+from .exactnum import Rat, RatFun, poly_interpolate
 from .quotient import Scalar, embed, scalar_eq
 from .report import Report
 from .seqrep import BSeqVerdict, RSeq, make_constant, make_identity
 from .sets_filters import FilterDescriptor
 
 
+@dataclass(frozen=True, slots=True)
 class SeriesVerdict:
     """ConvergentSum(value) / BoundedDivergent / UnboundedDivergent."""
 
-    __slots__ = ("kind", "value")
+    kind: str
+    value: Rat | None = None
 
     CONVERGENT_SUM = "ConvergentSum"
     BOUNDED_DIVERGENT = "BoundedDivergent"
     UNBOUNDED_DIVERGENT = "UnboundedDivergent"
-
-    def __init__(self, kind: str, value=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SeriesVerdict is immutable")
 
     @classmethod
     def convergent_sum(cls, value) -> "SeriesVerdict":
@@ -47,12 +43,6 @@ class SeriesVerdict:
     @classmethod
     def unbounded_divergent(cls) -> "SeriesVerdict":
         return cls(cls.UNBOUNDED_DIVERGENT)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SeriesVerdict) and (self.kind, self.value) == (other.kind, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.value))
 
     def __repr__(self) -> str:
         if self.kind == self.CONVERGENT_SUM:

@@ -11,12 +11,14 @@ of a fixed nonempty set).  Both give a decidable membership test.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import lcm
 
 from .errors import InvalidFilter, SelfCheckFailed
 from .report import Report
 
 
+@dataclass(frozen=True, slots=True)
 class SetDescriptor:
     """Eventually periodic subset of N with finite modifications.
 
@@ -25,7 +27,10 @@ class SetDescriptor:
     disjoint from the residue classes, minus inside them.
     """
 
-    __slots__ = ("modulus", "residues", "plus", "minus")
+    modulus: int
+    residues: frozenset[int]
+    plus: frozenset[int]
+    minus: frozenset[int]
 
     def __init__(self, modulus: int, residues=(), plus=(), minus=()):
         if modulus < 1:
@@ -63,9 +68,6 @@ class SetDescriptor:
         object.__setattr__(self, "residues", final_res)
         object.__setattr__(self, "plus", canon_plus)
         object.__setattr__(self, "minus", canon_minus)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SetDescriptor is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -181,18 +183,6 @@ class SetDescriptor:
                 return False
         return True
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetDescriptor)
-            and self.modulus == other.modulus
-            and self.residues == other.residues
-            and self.plus == other.plus
-            and self.minus == other.minus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.modulus, self.residues, self.plus, self.minus))
-
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
@@ -231,28 +221,25 @@ def _window_check(result: SetDescriptor, predicate, operands) -> None:
 # -- filters ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class FilterDescriptor:
     """A decidable filter on N: Frechet (cofinite sets) or principal."""
 
-    __slots__ = ("kind", "base")
+    kind: str
+    base: SetDescriptor | None = None
 
     FRECHET = "frechet"
     PRINCIPAL = "principal"
 
-    def __init__(self, kind: str, base: SetDescriptor | None = None):
-        if kind == self.FRECHET:
-            if base is not None:
+    def __post_init__(self):
+        if self.kind == self.FRECHET:
+            if self.base is not None:
                 raise ValueError("frechet filter takes no base set")
-        elif kind == self.PRINCIPAL:
-            if base is None or base.is_empty():
+        elif self.kind == self.PRINCIPAL:
+            if self.base is None or self.base.is_empty():
                 raise InvalidFilter("a principal filter needs a nonempty base set")
         else:
-            raise ValueError(f"unknown filter kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "base", base)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FilterDescriptor is immutable")
+            raise ValueError(f"unknown filter kind {self.kind!r}")
 
     @classmethod
     def frechet(cls) -> "FilterDescriptor":
@@ -266,16 +253,6 @@ class FilterDescriptor:
         if self.kind == self.FRECHET:
             return j.is_cofinite()
         return j.superset_of(self.base)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FilterDescriptor)
-            and self.kind == other.kind
-            and self.base == other.base
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.base))
 
     def render(self) -> str:
         if self.kind == self.FRECHET:

@@ -1,6 +1,6 @@
 import random
 
-from gscalars.galois import IdealDescriptor, ideal_closure_check, in_ideal, realize_zero_set, roundtrip_filter
+from gscalars.galois import ideal_closure_check, in_ideal, realize_zero_set, roundtrip_filter
 from gscalars.sampling import random_ideal_member, random_principal_filter, random_rseq, random_set, sample_sets
 from gscalars.seqrep import indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
@@ -10,17 +10,17 @@ FRECHET = FilterDescriptor.frechet()
 
 class TestInIdeal:
     def test_finite_support_is_frechet_member(self):
-        assert in_ideal(indicator(SetDescriptor.finite({5})), IdealDescriptor(FRECHET))
+        assert in_ideal(indicator(SetDescriptor.finite({5})), FRECHET)
 
     def test_evens_indicator_is_not(self):
         x = indicator(SetDescriptor.evens())
         assert x.zero_set() == SetDescriptor.odds()
-        assert not in_ideal(x, IdealDescriptor(FRECHET))
+        assert not in_ideal(x, FRECHET)
 
     def test_zero_sequence_in_every_ideal(self):
         zero = make_constant(0)
-        assert in_ideal(zero, IdealDescriptor(FRECHET))
-        assert in_ideal(zero, IdealDescriptor(FilterDescriptor.principal(SetDescriptor.odds())))
+        assert in_ideal(zero, FRECHET)
+        assert in_ideal(zero, FilterDescriptor.principal(SetDescriptor.odds()))
 
 
 class TestRealizeZeroSet:
@@ -45,7 +45,7 @@ class TestRoundtrip:
 
     def test_principal_evens_specifics(self):
         f = FilterDescriptor.principal(SetDescriptor.evens())
-        ideal = IdealDescriptor(f)
+        ideal = f
         assert in_ideal(realize_zero_set(SetDescriptor.evens()), ideal)
         assert not in_ideal(realize_zero_set(SetDescriptor.odds()), ideal)
         assert not in_ideal(realize_zero_set(SetDescriptor.empty()), ideal)
@@ -56,7 +56,7 @@ class TestRoundtrip:
         rng = random.Random(67)
         for _ in range(10):
             f = random_principal_filter(rng)
-            assert in_ideal(realize_zero_set(SetDescriptor.naturals()), IdealDescriptor(f))
+            assert in_ideal(realize_zero_set(SetDescriptor.naturals()), f)
 
     def test_random_principal_filters(self):
         rng = random.Random(71)
@@ -69,7 +69,7 @@ class TestRoundtrip:
 class TestClosure:
     def test_frechet_closure(self):
         rng = random.Random(73)
-        ideal = IdealDescriptor(FRECHET)
+        ideal = FRECHET
         samples = [random_ideal_member(rng, FRECHET) for _ in range(10)]
         samples += [random_rseq(rng, 3, 1) for _ in range(10)]
         report = ideal_closure_check(ideal, samples)
@@ -78,14 +78,14 @@ class TestClosure:
     def test_principal_closure(self):
         rng = random.Random(79)
         f = random_principal_filter(rng)
-        ideal = IdealDescriptor(f)
+        ideal = f
         samples = [random_ideal_member(rng, f) for _ in range(10)]
         samples += [random_rseq(rng, 3, 1) for _ in range(10)]
         report = ideal_closure_check(ideal, samples)
         assert report.ok, report.render()
 
     def test_absorption_by_unbounded(self):
-        ideal = IdealDescriptor(FRECHET)
+        ideal = FRECHET
         member = indicator(SetDescriptor.finite({2, 4}))
         assert in_ideal(member, ideal)
         assert in_ideal(member * make_identity(), ideal)
@@ -93,9 +93,9 @@ class TestClosure:
     def test_one_is_never_a_member(self):
         rng = random.Random(83)
         one = make_constant(1)
-        assert not in_ideal(one, IdealDescriptor(FRECHET))
+        assert not in_ideal(one, FRECHET)
         for _ in range(10):
-            assert not in_ideal(one, IdealDescriptor(random_principal_filter(rng)))
+            assert not in_ideal(one, random_principal_filter(rng))
 
 
 class TestMonotonicity:
@@ -119,5 +119,5 @@ class TestMonotonicity:
             # hence the induced ideals nest the same way
             for _ in range(5):
                 x = random_rseq(rng, 3, 1)
-                if in_ideal(x, IdealDescriptor(f_small)):
-                    assert in_ideal(x, IdealDescriptor(f_big))
+                if in_ideal(x, f_small):
+                    assert in_ideal(x, f_big)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gscalars.galois import IdealDescriptor, in_ideal
+from gscalars.galois import in_ideal
 from gscalars.quotient import Classification, Scalar, classify
 from gscalars.sampling import (
     random_appreciable_rseq,
@@ -57,7 +57,7 @@ def test_ideal_member_sampler_lands_in_ideal():
     rng = random.Random(233)
     filters = [FRECHET] + [random_principal_filter(rng) for _ in range(5)]
     for f in filters:
-        ideal = IdealDescriptor(f)
+        ideal = f
         for _ in range(10):
             assert in_ideal(random_ideal_member(rng, f), ideal)
 
