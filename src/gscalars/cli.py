@@ -2,8 +2,9 @@
 
 Subcommands: eval, classify, eq, sum, oracle, check.  Output is plain,
 line-oriented, deterministic text; the exit code is 0 exactly when no
-error line and no FAIL line was emitted.  GSC_SEED fixes the seed of the
-randomized verification suites.
+error line and no FAIL line was emitted.  An error's detail message, when
+it has one, goes to stderr, not beside its `error: <Name>` line on stdout.
+GSC_SEED fixes the seed of the randomized verification suites.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import expr as expr_mod
 from .errors import Error, ZeroDivisor
 from .oracle import FiniteConfig, run_oracle
-from .quotient import Classification, Scalar, classify, scalar_eq
+from .quotient import Scalar, classify, scalar_eq
 from .series import classify_series, generalized_sum
 from .sets_filters import FilterDescriptor
 from .suites import SUITE_NAMES, run_suite
@@ -38,10 +38,6 @@ def render_value(value) -> str:
         return f"{expr_mod.render_rseq(value.rep)} [{classify(value)}]"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, Classification):
-        return str(value)
     return str(value)
 
 
@@ -149,6 +145,8 @@ def main(argv=None, out=None) -> int:
             return 0 if ok else 1
     except Error as err:
         print(error_line(err), file=out)
+        if str(err):
+            print(err, file=sys.stderr)
         return 1
     return 2
 

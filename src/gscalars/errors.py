@@ -80,3 +80,7 @@ class InvalidArgument(Error):
 
 class ConfigTooLarge(Error):
     """A finite-enumeration configuration is outside the supported bounds."""
+
+
+class NestingTooDeep(Error):
+    """An expression nests deeper than `expr.MAX_DEPTH` levels."""

@@ -8,6 +8,11 @@ declaring pointwise overrides.  Set expressions: `{3,5}`, `r mod m`,
 
 Rendering is canonical: parse(render(parse(text))) == parse(text), and a
 rendered value re-evaluates to the same class under every filter.
+
+Parsing refuses with NestingTooDeep, before anything is evaluated, an
+expression nested deeper than MAX_DEPTH: each parenthesis, call, unary
+minus and set complement opens one level while parsing, and the syntax
+tree (where `1+1+1` is two levels of `+` above its leaves) may be no deeper.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Error, TypeMismatch
+from .errors import Error, NestingTooDeep, TypeMismatch
 from .exactnum import Poly, RatFun, integer_roots_nonneg
 from .quotient import (
     Scalar,
@@ -47,65 +52,67 @@ class SyntaxError(Error):
         return base
 
 
+MAX_DEPTH = 100
+
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # + - * /
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     name: str  # shift sum st class invert limit eq le
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ind:
     set_expr: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Except:
     arg: object
     overrides: tuple  # ((index, Fraction), ...) sorted by index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetLit:
     elements: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetMod:
     residue: int
     modulus: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetNot:
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetBin:
     op: str  # | &
     left: object
@@ -121,7 +128,7 @@ BINARY_CALLS = ("eq", "le")
 _PUNCT = "+-*/(){},:|&~"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # int ident punct end
     text: str
@@ -174,6 +181,17 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 1
+
+    def _nested(self, rule):
+        """Parse `rule` one nesting level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return rule()
+        finally:
+            self.depth -= 1
 
     @property
     def current(self) -> _Token:
@@ -223,7 +241,7 @@ class _Parser:
     def _unary(self):
         if self._at_punct("-"):
             self._eat("punct", "-")
-            return Neg(self._unary())
+            return Neg(self._nested(self._unary))
         return self._atom()
 
     def _atom(self):
@@ -238,27 +256,27 @@ class _Parser:
             if tok.text == "ind":
                 self.pos += 1
                 self._eat("punct", "(")
-                inner = self.parse_set()
+                inner = self._nested(self.parse_set)
                 self._eat("punct", ")")
                 return Ind(inner)
             if tok.text in UNARY_CALLS:
                 self.pos += 1
                 self._eat("punct", "(")
-                arg = self.parse_expr()
+                arg = self._nested(self.parse_expr)
                 self._eat("punct", ")")
                 return Call(tok.text, (arg,))
             if tok.text in BINARY_CALLS:
                 self.pos += 1
                 self._eat("punct", "(")
-                first = self.parse_expr()
+                first = self._nested(self.parse_expr)
                 self._eat("punct", ",")
-                second = self.parse_expr()
+                second = self._nested(self.parse_expr)
                 self._eat("punct", ")")
                 return Call(tok.text, (first, second))
             self._fail(["n", "ind", *UNARY_CALLS, *BINARY_CALLS])
         if self._at_punct("("):
             self._eat("punct", "(")
-            node = self.parse_expr()
+            node = self._nested(self.parse_expr)
             self._eat("punct", ")")
             return node
         self._fail(["integer", "n", "function", "("])
@@ -313,12 +331,12 @@ class _Parser:
     def _set_atom(self):
         if self._at_punct("~"):
             self._eat("punct", "~")
-            return SetNot(self._set_atom())
+            return SetNot(self._nested(self._set_atom))
         if self._at_punct("{"):
             return SetLit(self._int_braces())
         if self._at_punct("("):
             self._eat("punct", "(")
-            node = self.parse_set()
+            node = self._nested(self.parse_set)
             self._eat("punct", ")")
             return node
         tok = self.current
@@ -357,10 +375,33 @@ class _Parser:
         return tuple(sorted(elements))
 
 
+def _children(node) -> tuple:
+    if isinstance(node, (Neg, Except, SetNot)):
+        return (node.arg,)
+    if isinstance(node, (BinOp, SetBin)):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, Ind):
+        return (node.set_expr,)
+    return ()
+
+
+def _check_depth(root) -> None:
+    """Refuse a syntax tree deeper than MAX_DEPTH, without recursing."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
+        stack.extend((child, depth + 1) for child in _children(node))
+
+
 def parse(text: str):
     parser = _Parser(text)
     node = parser.parse_expr()
     parser._eat("end")
+    _check_depth(node)
     return node
 
 
@@ -368,6 +409,7 @@ def parse_set(text: str):
     parser = _Parser(text)
     node = parser.parse_set()
     parser._eat("end")
+    _check_depth(node)
     return node
 
 

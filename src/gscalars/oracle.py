@@ -23,7 +23,7 @@ from .report import Report
 SUBSET_SCAN_CAP = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteConfig:
     lambda_size: int
     field_order: int
@@ -68,7 +68,7 @@ def zero_mask(x: Vector) -> int:
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteIdeal:
     elements: frozenset[Vector]
 
@@ -76,7 +76,7 @@ class FiniteIdeal:
         return (len(self.elements), tuple(sorted(self.elements)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteFilter:
     sets: frozenset[int]  # subset bitmasks over the index set
 

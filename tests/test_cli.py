@@ -7,6 +7,7 @@ import pytest
 
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
+from gscalars.expr import MAX_DEPTH
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -124,6 +125,40 @@ class TestSubcommands:
     def test_empty_principal_filter(self):
         code, text = run_cli("eval", "1", "--filter=principal:{}")
         assert (code, text) == (1, "error: InvalidFilter\n")
+
+
+class TestNestingLimit:
+    PROBES = {
+        "parentheses": "(" * 400 + "1" + ")" * 400,
+        "unary-minus": "0+" + "-" * 3000 + "1",
+        "shift-calls": "shift(" * 300 + "n" + ")" * 300,
+        "set-complements": "ind(" + "~" * 3000 + "evens)",
+        "sum-chain": "+".join(["1"] * 1500),
+        "set-union-chain": "ind(" + "|".join(["evens"] * 1500) + ")",
+    }
+
+    @pytest.mark.parametrize("expression", PROBES.values(), ids=PROBES.keys())
+    def test_deep_nesting_is_one_named_error(self, expression):
+        assert run_cli("eval", "--", expression) == (1, "error: NestingTooDeep\n")
+
+    def test_filter_flag_is_limited_too(self):
+        code, text = run_cli("eval", "1", "--filter=principal:" + "~" * 3000 + "evens")
+        assert (code, text) == (1, "error: NestingTooDeep\n")
+
+    def test_expressions_at_the_limit_evaluate(self):
+        depth = MAX_DEPTH
+        assert run_cli("eval", "(" * (depth - 1) + "2" + ")" * (depth - 1)) == (0, "2 [Appreciable]\n")
+        assert run_cli("eval", "+".join(["1"] * depth)) == (0, f"{depth} [Appreciable]\n")
+        assert run_cli("eval", "(" * depth + "2" + ")" * depth) == (1, "error: NestingTooDeep\n")
+        assert run_cli("eval", "+".join(["1"] * (depth + 1))) == (1, "error: NestingTooDeep\n")
+
+
+class TestErrorDetail:
+    def test_detail_goes_to_stderr_only(self, capsys):
+        assert main(["eval", "st(n)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "error: NotStandardizable\n"
+        assert "an infinite branch blocks the standard part" in captured.err
 
 
 class TestDeterminism:
