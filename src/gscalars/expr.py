@@ -10,9 +10,10 @@ Rendering is canonical: parse(render(parse(text))) == parse(text), and a
 rendered value re-evaluates to the same class under every filter.
 
 Parsing refuses with NestingTooDeep, before anything is evaluated, an
-expression nested deeper than MAX_DEPTH: each parenthesis, call, unary
-minus and set complement opens one level while parsing, and the syntax
-tree (where `1+1+1` is two levels of `+` above its leaves) may be no deeper.
+expression nested deeper than MAX_DEPTH levels: each parenthesis, call,
+unary minus and set complement opens one level while parsing, and the
+syntax tree, where each operator of a chain like `1+1+1` adds a level, may
+be no deeper.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ class SyntaxError(Error):
 
 
 MAX_DEPTH = 100
+
+
+def _check_level(depth: int) -> None:
+    if depth > MAX_DEPTH:
+        raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
 
 # -- AST ----------------------------------------------------------------------
 
@@ -185,10 +191,9 @@ class _Parser:
 
     def _nested(self, rule):
         """Parse `rule` one nesting level deeper."""
-        if self.depth == MAX_DEPTH:
-            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
         self.depth += 1
         try:
+            _check_level(self.depth)
             return rule()
         finally:
             self.depth -= 1
@@ -392,8 +397,7 @@ def _check_depth(root) -> None:
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
+        _check_level(depth)
         stack.extend((child, depth + 1) for child in _children(node))
 
 
