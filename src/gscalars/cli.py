@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import expr as expr_mod
-from .errors import Error, ZeroDivisor
+from .errors import Error, InvalidArgument, ZeroDivisor
 from .oracle import FiniteConfig, run_oracle
 from .quotient import Scalar, classify, scalar_eq
 from .series import classify_series, generalized_sum
@@ -30,7 +30,7 @@ def parse_filter_flag(text: str) -> FilterDescriptor:
     if text.startswith("principal:"):
         set_node = expr_mod.parse_set(text[len("principal:"):])
         return FilterDescriptor.principal(expr_mod.eval_set(set_node))
-    raise Error(f"unknown filter {text!r}; use frechet or principal:<set>")
+    raise InvalidArgument(f"unknown filter {text!r}; use frechet or principal:<set>")
 
 
 def render_value(value) -> str:
@@ -59,7 +59,7 @@ def _seed_from_env() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise Error(f"GSC_SEED must be an integer, got {raw!r}") from exc
+        raise InvalidArgument(f"GSC_SEED must be an integer, got {raw!r}") from exc
 
 
 def _emit_reports(reports, out) -> bool:

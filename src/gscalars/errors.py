@@ -38,11 +38,6 @@ class NonPolynomialTerms(Error):
     """Partial sums require every branch to be a polynomial."""
 
 
-class SelfCheckFailed(Error):
-    """An internal cross-verification (interpolation vs direct summation,
-    descriptor algebra vs pointwise window) disagreed.  Never expected."""
-
-
 class InvalidFilter(Error):
     """A principal filter was built over the empty set."""
 
@@ -75,7 +70,8 @@ class TypeMismatch(Error):
 
 
 class InvalidArgument(Error):
-    """A numeric argument is outside the range the operation accepts."""
+    """An argument (a number, a filter flag, GSC_SEED) is malformed or
+    outside the range the operation accepts."""
 
 
 class ConfigTooLarge(Error):

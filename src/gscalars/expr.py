@@ -438,12 +438,8 @@ def _render(node) -> tuple[str, int]:
         return f"-{render(node.arg, _UNARY)}", _UNARY
     if isinstance(node, BinOp):
         if node.op in "+-":
-            left = render(node.left, _ADD)
-            right = render(node.right, _MUL)
-            return f"{left} {node.op} {right}", _ADD
-        left = render(node.left, _MUL)
-        right = render(node.right, _UNARY)
-        return f"{left} {node.op} {right}", _MUL
+            return _render_chain(node, "+-", _ADD, _MUL, render, " {} ")
+        return _render_chain(node, "*/", _MUL, _UNARY, render, " {} ")
     if isinstance(node, Call):
         inner = ", ".join(render(a) for a in node.args)
         return f"{node.name}({inner})", _ATOM
@@ -474,9 +470,22 @@ def _render_set(node) -> tuple[str, int]:
         return f"~{render_set(node.arg, _SET_NOT)}", _SET_NOT
     if isinstance(node, SetBin):
         if node.op == "|":
-            return f"{render_set(node.left, _SET_OR)}|{render_set(node.right, _SET_AND)}", _SET_OR
-        return f"{render_set(node.left, _SET_AND)}&{render_set(node.right, _SET_NOT)}", _SET_AND
+            return _render_chain(node, "|", _SET_OR, _SET_AND, render_set, "{}")
+        return _render_chain(node, "&", _SET_AND, _SET_NOT, render_set, "{}")
     raise TypeError(f"not a set node: {node!r}")
+
+
+def _render_chain(node, ops: str, level: int, right_level: int, render_side, sep: str) -> tuple[str, int]:
+    """A left-deep chain of the operators in `ops`, such as `a - b + c`,
+    rendered by walking its left spine in a loop: a monomial of high degree
+    or a sum over many classes must not recurse once per operator."""
+    parts = []
+    while isinstance(node, (BinOp, SetBin)) and node.op in ops:
+        parts.append(render_side(node.right, right_level))
+        parts.append(sep.format(node.op))
+        node = node.left
+    parts.append(render_side(node, level))
+    return "".join(reversed(parts)), level
 
 
 # -- evaluation --------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import InvalidFilter, SelfCheckFailed
+from .errors import InvalidFilter
 from .report import Report
 
 
@@ -140,26 +140,17 @@ class SetDescriptor:
                 break
         return out
 
-    def _finite_horizon(self) -> int:
-        return max([*self.plus, *self.minus], default=0)
-
     # -- boolean algebra --------------------------------------------------
 
     def complement(self) -> "SetDescriptor":
         comp_res = frozenset(range(self.modulus)) - self.residues
-        out = SetDescriptor(self.modulus, comp_res, plus=self.minus, minus=self.plus)
-        _window_check(out, lambda n: not self.member(n), (self,))
-        return out
+        return SetDescriptor(self.modulus, comp_res, plus=self.minus, minus=self.plus)
 
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
-        out = self._combine(other, lambda a, b: a or b)
-        _window_check(out, lambda n: self.member(n) or other.member(n), (self, other))
-        return out
+        return self._combine(other, lambda a, b: a or b)
 
     def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        out = self._combine(other, lambda a, b: a and b)
-        _window_check(out, lambda n: self.member(n) and other.member(n), (self, other))
-        return out
+        return self._combine(other, lambda a, b: a and b)
 
     def _combine(self, other: "SetDescriptor", op) -> "SetDescriptor":
         m = lcm(self.modulus, other.modulus)
@@ -204,18 +195,6 @@ class SetDescriptor:
 
     def __repr__(self) -> str:
         return f"SetDescriptor<{self.render()}>"
-
-
-def _window_check(result: SetDescriptor, predicate, operands) -> None:
-    """Pointwise self-test of descriptor algebra on a finite window."""
-    period = 1
-    horizon = 0
-    for s in (*operands, result):
-        period = lcm(period, s.modulus)
-        horizon = max(horizon, s._finite_horizon())
-    for n in range(4 * period + horizon + 1):
-        if result.member(n) != predicate(n):
-            raise SelfCheckFailed(f"descriptor algebra disagrees with pointwise semantics at n={n}")
 
 
 # -- filters ----------------------------------------------------------------

@@ -4,10 +4,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
-from gscalars.expr import MAX_DEPTH
+from gscalars.expr import MAX_DEPTH, parse, render
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -126,6 +127,42 @@ class TestSubcommands:
         code, text = run_cli("eval", "1", "--filter=principal:{}")
         assert (code, text) == (1, "error: InvalidFilter\n")
 
+    def test_unknown_filter_kind(self):
+        assert run_cli("eval", "1", "--filter=ultra") == (1, "error: InvalidArgument\n")
+
+    def test_non_integer_seed(self, monkeypatch):
+        monkeypatch.setenv("GSC_SEED", "12x")
+        assert run_cli("check", "shift-impossibility") == (1, "error: InvalidArgument\n")
+
+
+def _squared(text: str, times: int) -> str:
+    for _ in range(times):
+        text = f"(({text})*({text}))"
+    return text
+
+
+class TestLongResults:
+    """Results whose canonical form is a long left-deep chain render
+    without recursing once per operator."""
+
+    CASES = {
+        "sum-over-1000-classes": (
+            "n + n*ind(0 mod 1000)",
+            "ind(0 mod 1000) * (2 * n)"
+            + "".join(f" + ind({r} mod 1000) * n" for r in range(1, 1000))
+            + " [Infinite]\n",
+        ),
+        "n-to-the-512": (_squared("n", 9), " * ".join(["n"] * 512) + " [Infinite]\n"),
+        "union-of-999-classes": (
+            "ind(~(0 mod 1000))",
+            "ind(" + "|".join(f"{r} mod 1000" for r in range(1, 1000)) + ") [Appreciable]\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("expression,expected", CASES.values(), ids=CASES.keys())
+    def test_one_result_line(self, expression, expected):
+        assert run_cli("eval", "--", expression) == (0, expected)
+
 
 class TestNestingLimit:
     PROBES = {
@@ -189,3 +226,57 @@ class TestDeterminism:
         second = self._spawn("oracle", "--lambda", "3", "--field", "2")
         assert first == second
         assert first[0] == 0
+
+
+# -- grammar fuzzer -------------------------------------------------------------
+
+_INTS = st.integers(0, 50).map(str)
+_BRACES = st.lists(_INTS, max_size=3).map(lambda xs: "{" + ",".join(xs) + "}")
+
+_SET_EXPRS = st.recursive(
+    st.one_of(
+        st.builds("{} mod {}".format, _INTS, st.integers(1, 6)),
+        st.sampled_from(["evens", "odds"]),
+        _BRACES,
+        _BRACES.map("cofinite~{}".format),
+    ),
+    lambda inner: st.one_of(
+        inner.map("~({})".format),
+        st.builds("{}{}{}".format, inner, st.sampled_from("|&"), inner),
+    ),
+    max_leaves=3,
+)
+
+_OVERRIDES = st.lists(
+    st.builds("{}: {}{}/{}".format, _INTS, st.sampled_from(["", "-"]), _INTS, st.integers(1, 9)),
+    max_size=3,
+).map(lambda items: "{" + ", ".join(items) + "}")
+
+_SCALAR_EXPRS = st.recursive(
+    st.one_of(_INTS, st.just("n"), _SET_EXPRS.map("ind({})".format)),
+    lambda inner: st.one_of(
+        inner.map("-({})".format),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("{}({})".format, st.sampled_from(["shift", "sum", "st", "class", "invert", "limit"]), inner),
+        st.builds("{}({}, {})".format, st.sampled_from(["eq", "le"]), inner, inner),
+        st.builds("({} except {})".format, inner, _OVERRIDES),
+    ),
+    max_leaves=6,
+)
+
+_FILTERS = st.one_of(st.just("frechet"), _SET_EXPRS.map("principal:{}".format))
+
+
+class TestGrammarFuzz:
+    @settings(deadline=None)
+    @given(_SCALAR_EXPRS, _FILTERS, st.sampled_from(["eval", "classify"]))
+    def test_one_line_and_a_matching_exit_code(self, expression, filt, command):
+        code, text = run_cli(command, f"--filter={filt}", "--", expression)
+        lines = text.split("\n")
+        assert len(lines) == 2 and lines[1] == "", text
+        assert (code == 0) == (not lines[0].startswith("error:")), text
+
+    @given(_SCALAR_EXPRS)
+    def test_render_round_trips(self, expression):
+        tree = parse(expression)
+        assert parse(render(tree)) == tree

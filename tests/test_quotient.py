@@ -242,7 +242,7 @@ class TestOrder:
             near = SetDescriptor.finite(r + rng.randint(-1, 1) for r in crossings)
             base = rng.choice([random_nonempty_set(rng), near, near.union(SetDescriptor.evens())])
             period = lcm(x.modulus, y.modulus, base.modulus)
-            horizon = max([*x.exceptions, *y.exceptions, base._finite_horizon()])
+            horizon = max([*x.exceptions, *y.exceptions, max(base.plus | base.minus, default=0)])
             # Past `start` every class keeps one truth value.
             start = max(root_free_beyond(branch_polys(x - y)), horizon) + 1
             window = start + 2 * period

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gscalars.errors import NonPolynomialTerms
 from gscalars.exactnum import Poly, RatFun, rat
@@ -31,6 +33,23 @@ def direct_sums(s: RSeq, count: int) -> list[Fraction]:
         running += s.eval(n)
         out.append(running)
     return out
+
+
+@st.composite
+def poly_rseqs(draw):
+    """Polynomial branches of degree 0..6, zero branches included."""
+    m = draw(st.integers(1, 6))
+    rationals = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    branches = [RatFun(Poly(draw(st.lists(rationals, max_size=7)))) for _ in range(m)]
+    exceptions = draw(st.dictionaries(st.integers(0, 40), rationals, max_size=4))
+    return RSeq(m, branches, exceptions)
+
+
+def fit_shape(s: RSeq) -> tuple[int, int]:
+    """(start, max_degree): the first index past every exception and the
+    largest branch degree."""
+    start = max(s.exceptions, default=-1) + 1
+    return start, max(0, max(br.num.degree for br in s.branches))
 
 
 def alternating() -> RSeq:
@@ -80,6 +99,29 @@ class TestPartialSums:
             for _ in range(20):
                 n = rng.randint(0, 10**3)
                 assert x.eval(n + 1) - x.eval(n) == s.eval(n + 1)
+
+    @given(poly_rseqs())
+    def test_closed_form_matches_direct_summation(self, s):
+        # The window reaches as far as partial_sums used to re-verify its
+        # interpolation before trusting it.
+        start, max_degree = fit_shape(s)
+        horizon = start + s.modulus * (3 * max_degree + 10)
+        x = partial_sums(s)
+        assert [x.eval(n) for n in range(horizon)] == direct_sums(s, horizon)
+
+    @given(poly_rseqs())
+    def test_sums_only_the_interpolated_points(self, s):
+        start, max_degree = fit_shape(s)
+        evaluate = RSeq.eval
+        calls = []
+
+        def counting_eval(self, n):
+            calls.append(n)
+            return evaluate(self, n)
+
+        with mock.patch.object(RSeq, "eval", counting_eval):
+            partial_sums(s)
+        assert len(calls) <= start + s.modulus * (max_degree + 2)
 
     def test_degree_six_modulus_six(self):
         rng = random.Random(163)
