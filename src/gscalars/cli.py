@@ -111,44 +111,34 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command in ("eval", "classify", "sum"):
-            filt = parse_filter_flag(args.filter)
-            node = expr_mod.parse(args.expression)
-            if args.command == "eval":
-                print(render_value(expr_mod.evaluate(node, filt)), file=out)
-            elif args.command == "classify":
-                scalar = expr_mod._as_scalar(expr_mod.evaluate(node, filt), filt)
-                print(str(classify(scalar)), file=out)
-            else:
-                scalar = expr_mod._as_scalar(expr_mod.evaluate(node, filt), filt)
-                verdict = classify_series(scalar.rep)
-                value = generalized_sum(scalar.rep, filt)
-                print(f"verdict: {verdict!r}", file=out)
-                print(f"value: {render_value(value)}", file=out)
-            return 0
-        if args.command == "eq":
-            filt = parse_filter_flag(args.filter)
-            left = expr_mod.evaluate(expr_mod.parse(args.left), filt)
-            right = expr_mod.evaluate(expr_mod.parse(args.right), filt)
-            result = scalar_eq(
-                expr_mod._as_scalar(left, filt), expr_mod._as_scalar(right, filt)
-            )
-            print("true" if result else "false", file=out)
-            return 0
         if args.command == "oracle":
             cfg = FiniteConfig(args.lambda_size, args.field)
-            ok = _emit_reports(run_oracle(cfg, args.check), out)
-            return 0 if ok else 1
+            return 0 if _emit_reports(run_oracle(cfg, args.check), out) else 1
         if args.command == "check":
             seed = _seed_from_env()
-            ok = _emit_reports(run_suite(args.suite, seed, kmax=args.kmax), out)
-            return 0 if ok else 1
+            return 0 if _emit_reports(run_suite(args.suite, seed, kmax=args.kmax), out) else 1
+        filt = parse_filter_flag(args.filter)
+        if args.command == "eval":
+            value = expr_mod.evaluate(expr_mod.parse(args.expression), filt)
+            print(render_value(value), file=out)
+        elif args.command == "classify":
+            [scalar] = expr_mod.evaluate_scalars([args.expression], filt)
+            print(classify(scalar), file=out)
+        elif args.command == "sum":
+            [scalar] = expr_mod.evaluate_scalars([args.expression], filt)
+            verdict = classify_series(scalar.rep)
+            value = generalized_sum(scalar.rep, filt)
+            print(f"verdict: {verdict!r}", file=out)
+            print(f"value: {render_value(value)}", file=out)
+        else:
+            left, right = expr_mod.evaluate_scalars([args.left, args.right], filt)
+            print("true" if scalar_eq(left, right) else "false", file=out)
+        return 0
     except Error as err:
         print(error_line(err), file=out)
         if str(err):
             print(err, file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

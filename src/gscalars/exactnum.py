@@ -249,9 +249,6 @@ class RatFun:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
     def __call__(self, n) -> Rat:
         return self.num(n) / self.den(n)
 

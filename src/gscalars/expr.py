@@ -10,10 +10,11 @@ Rendering is canonical: parse(render(parse(text))) == parse(text), and a
 rendered value re-evaluates to the same class under every filter.
 
 Parsing refuses with NestingTooDeep, before anything is evaluated, an
-expression nested deeper than MAX_DEPTH levels: each parenthesis, call,
-unary minus and set complement opens one level while parsing, and the
-syntax tree, where each operator of a chain like `1+1+1` adds a level, may
-be no deeper.
+expression nested deeper than MAX_DEPTH levels.  Each parenthesis, call,
+unary minus and set complement opens one level; an operator chain such as
+`1+1+1` or `e except {..} except {..}` opens none and may be any length,
+because parsing, rendering and evaluation all walk a chain's left spine in
+a loop.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class SyntaxError(Error):
 
 MAX_DEPTH = 100
 
-
-def _check_level(depth: int) -> None:
-    if depth > MAX_DEPTH:
-        raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
-
 # -- AST ----------------------------------------------------------------------
 
 
@@ -98,8 +94,9 @@ class Ind:
 
 @dataclass(frozen=True, slots=True)
 class Except:
-    arg: object
+    left: object
     overrides: tuple  # ((index, Fraction), ...) sorted by index
+    op = "except"  # not a field: `_chain` walks except chains like operator chains
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +122,21 @@ class SetBin:
     right: object
 
 
-UNARY_CALLS = ("shift", "sum", "st", "class", "invert", "limit")
-BINARY_CALLS = ("eq", "le")
+# Call name -> argument count, in the order a syntax error lists them.
+CALLS = {"shift": 1, "sum": 1, "st": 1, "class": 1, "invert": 1, "limit": 1, "eq": 2, "le": 2}
+
+
+def _chain(node, ops) -> tuple:
+    """The left-deep chain of the operators in `ops` at `node`, such as
+    `a - b + c`, unwound along its left spine in a loop: its head and its
+    links (the operator nodes) in source order.  Rendering and evaluation
+    both walk chains this way, so a long chain never recurses per link."""
+    links = []
+    while isinstance(node, (BinOp, SetBin, Except)) and node.op in ops:
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
 
 
 # -- tokenizer ------------------------------------------------------------------
@@ -189,14 +199,20 @@ class _Parser:
         self.pos = 0
         self.depth = 1
 
-    def _nested(self, rule):
-        """Parse `rule` one nesting level deeper."""
+    def _nested(self, rule, enclosed: bool = False):
+        """Parse `rule` one nesting level deeper, between parentheses when
+        `enclosed`.  A failed parse is abandoned whole, so the level is
+        given back only on success."""
+        if enclosed:
+            self._eat("punct", "(")
         self.depth += 1
-        try:
-            _check_level(self.depth)
-            return rule()
-        finally:
-            self.depth -= 1
+        if self.depth > MAX_DEPTH:
+            raise NestingTooDeep(f"expression nested deeper than {MAX_DEPTH} levels")
+        node = rule()
+        self.depth -= 1
+        if enclosed:
+            self._eat("punct", ")")
+        return node
 
     @property
     def current(self) -> _Token:
@@ -219,6 +235,18 @@ class _Parser:
 
     def _at_ident(self, text: str) -> bool:
         return self.current.kind == "ident" and self.current.text == text
+
+    def _braces(self, item) -> list:
+        """`{item, item, ...}`, possibly empty."""
+        self._eat("punct", "{")
+        items = []
+        if not self._at_punct("}"):
+            items.append(item())
+            while self._at_punct(","):
+                self._eat("punct", ",")
+                items.append(item())
+        self._eat("punct", "}")
+        return items
 
     # scalar grammar -----------------------------------------------------------
 
@@ -260,46 +288,28 @@ class _Parser:
                 return Var()
             if tok.text == "ind":
                 self.pos += 1
-                self._eat("punct", "(")
-                inner = self._nested(self.parse_set)
-                self._eat("punct", ")")
-                return Ind(inner)
-            if tok.text in UNARY_CALLS:
+                return Ind(self._nested(self.parse_set, enclosed=True))
+            if tok.text in CALLS:
                 self.pos += 1
                 self._eat("punct", "(")
-                arg = self._nested(self.parse_expr)
+                args = [self._nested(self.parse_expr)]
+                for _ in range(1, CALLS[tok.text]):
+                    self._eat("punct", ",")
+                    args.append(self._nested(self.parse_expr))
                 self._eat("punct", ")")
-                return Call(tok.text, (arg,))
-            if tok.text in BINARY_CALLS:
-                self.pos += 1
-                self._eat("punct", "(")
-                first = self._nested(self.parse_expr)
-                self._eat("punct", ",")
-                second = self._nested(self.parse_expr)
-                self._eat("punct", ")")
-                return Call(tok.text, (first, second))
-            self._fail(["n", "ind", *UNARY_CALLS, *BINARY_CALLS])
+                return Call(tok.text, tuple(args))
+            self._fail(["n", "ind", *CALLS])
         if self._at_punct("("):
-            self._eat("punct", "(")
-            node = self._nested(self.parse_expr)
-            self._eat("punct", ")")
-            return node
+            return self._nested(self.parse_expr, enclosed=True)
         self._fail(["integer", "n", "function", "("])
 
     def _except_map(self) -> tuple:
-        self._eat("punct", "{")
-        overrides = {}
-        if not self._at_punct("}"):
-            while True:
-                key = int(self._eat("int").text)
-                self._eat("punct", ":")
-                overrides[key] = self._signed_rat()
-                if self._at_punct(","):
-                    self._eat("punct", ",")
-                    continue
-                break
-        self._eat("punct", "}")
-        return tuple(sorted(overrides.items()))
+        return tuple(sorted(dict(self._braces(self._override)).items()))
+
+    def _override(self) -> tuple:
+        key = int(self._eat("int").text)
+        self._eat("punct", ":")
+        return key, self._signed_rat()
 
     def _signed_rat(self) -> Fraction:
         negative = False
@@ -340,10 +350,7 @@ class _Parser:
         if self._at_punct("{"):
             return SetLit(self._int_braces())
         if self._at_punct("("):
-            self._eat("punct", "(")
-            node = self._nested(self.parse_set)
-            self._eat("punct", ")")
-            return node
+            return self._nested(self.parse_set, enclosed=True)
         tok = self.current
         if tok.kind == "int":
             self.pos += 1
@@ -367,54 +374,22 @@ class _Parser:
         self._fail(["{", "~", "(", "residue mod modulus", "evens", "odds", "cofinite"])
 
     def _int_braces(self) -> tuple:
-        self._eat("punct", "{")
-        elements = set()
-        if not self._at_punct("}"):
-            while True:
-                elements.add(int(self._eat("int").text))
-                if self._at_punct(","):
-                    self._eat("punct", ",")
-                    continue
-                break
-        self._eat("punct", "}")
-        return tuple(sorted(elements))
+        return tuple(sorted(set(self._braces(lambda: int(self._eat("int").text)))))
 
 
-def _children(node) -> tuple:
-    if isinstance(node, (Neg, Except, SetNot)):
-        return (node.arg,)
-    if isinstance(node, (BinOp, SetBin)):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return node.args
-    if isinstance(node, Ind):
-        return (node.set_expr,)
-    return ()
-
-
-def _check_depth(root) -> None:
-    """Refuse a syntax tree deeper than MAX_DEPTH, without recursing."""
-    stack = [(root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        _check_level(depth)
-        stack.extend((child, depth + 1) for child in _children(node))
+def _parse_all(text: str, rule):
+    parser = _Parser(text)
+    node = rule(parser)
+    parser._eat("end")
+    return node
 
 
 def parse(text: str):
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    parser._eat("end")
-    _check_depth(node)
-    return node
+    return _parse_all(text, _Parser.parse_expr)
 
 
 def parse_set(text: str):
-    parser = _Parser(text)
-    node = parser.parse_set()
-    parser._eat("end")
-    _check_depth(node)
-    return node
+    return _parse_all(text, _Parser.parse_set)
 
 
 # -- rendering -------------------------------------------------------------------
@@ -422,11 +397,13 @@ def parse_set(text: str):
 _EXCEPT, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
 
+def _parenthesized(text_level: tuple[str, int], parent_level: int) -> str:
+    text, level = text_level
+    return f"({text})" if level < parent_level else text
+
+
 def render(node, parent_level: int = 0) -> str:
-    text, level = _render(node)
-    if level < parent_level:
-        return f"({text})"
-    return text
+    return _parenthesized(_render(node), parent_level)
 
 
 def _render(node) -> tuple[str, int]:
@@ -446,8 +423,11 @@ def _render(node) -> tuple[str, int]:
     if isinstance(node, Ind):
         return f"ind({render_set(node.set_expr)})", _ATOM
     if isinstance(node, Except):
-        body = ", ".join(f"{k}: {v}" for k, v in node.overrides)
-        return f"{render(node.arg, _ADD)} except {{{body}}}", _EXCEPT
+        head, links = _chain(node, ("except",))
+        maps = "".join(
+            " except {" + ", ".join(f"{k}: {v}" for k, v in link.overrides) + "}" for link in links
+        )
+        return render(head, _ADD) + maps, _EXCEPT
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -455,10 +435,7 @@ _SET_OR, _SET_AND, _SET_NOT, _SET_ATOM = range(4)
 
 
 def render_set(node, parent_level: int = 0) -> str:
-    text, level = _render_set(node)
-    if level < parent_level:
-        return f"({text})"
-    return text
+    return _parenthesized(_render_set(node), parent_level)
 
 
 def _render_set(node) -> tuple[str, int]:
@@ -476,16 +453,10 @@ def _render_set(node) -> tuple[str, int]:
 
 
 def _render_chain(node, ops: str, level: int, right_level: int, render_side, sep: str) -> tuple[str, int]:
-    """A left-deep chain of the operators in `ops`, such as `a - b + c`,
-    rendered by walking its left spine in a loop: a monomial of high degree
-    or a sum over many classes must not recurse once per operator."""
-    parts = []
-    while isinstance(node, (BinOp, SetBin)) and node.op in ops:
-        parts.append(render_side(node.right, right_level))
-        parts.append(sep.format(node.op))
-        node = node.left
-    parts.append(render_side(node, level))
-    return "".join(reversed(parts)), level
+    head, links = _chain(node, ops)
+    parts = [render_side(head, level)]
+    parts.extend(sep.format(link.op) + render_side(link.right, right_level) for link in links)
+    return "".join(parts), level
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -499,8 +470,12 @@ def eval_set(node) -> SetDescriptor:
     if isinstance(node, SetNot):
         return eval_set(node.arg).complement()
     if isinstance(node, SetBin):
-        left, right = eval_set(node.left), eval_set(node.right)
-        return left.union(right) if node.op == "|" else left.intersect(right)
+        head, links = _chain(node, "|&")
+        value = eval_set(head)
+        for link in links:
+            right = eval_set(link.right)
+            value = value.union(right) if link.op == "|" else value.intersect(right)
+        return value
     raise TypeError(f"not a set node: {node!r}")
 
 
@@ -510,6 +485,18 @@ def _as_scalar(value, f: FilterDescriptor) -> Scalar:
     if isinstance(value, Fraction):
         return embed(value, f)
     raise TypeMismatch(f"expected a scalar, got {value!r}")
+
+
+def _scalar(node, f: FilterDescriptor) -> Scalar:
+    return _as_scalar(evaluate(node, f), f)
+
+
+def evaluate_scalars(texts, f: FilterDescriptor) -> list[Scalar]:
+    """Parse and evaluate each text in turn, then take every value as a
+    scalar: a rational (from st or limit) is embedded, and any other
+    non-scalar value raises TypeMismatch."""
+    values = [evaluate(parse(text), f) for text in texts]
+    return [_as_scalar(value, f) for value in values]
 
 
 def evaluate(node, f: FilterDescriptor):
@@ -523,41 +510,45 @@ def evaluate(node, f: FilterDescriptor):
     if isinstance(node, Var):
         return Scalar(make_identity(), f)
     if isinstance(node, Neg):
-        return -_as_scalar(evaluate(node.arg, f), f)
-    if isinstance(node, BinOp):
-        left = _as_scalar(evaluate(node.left, f), f)
-        right = _as_scalar(evaluate(node.right, f), f)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return left * try_invert(right)
+        return -_scalar(node.arg, f)
+    if isinstance(node, (BinOp, Except)):
+        head, links = _chain(node, ("+", "-", "*", "/", "except"))
+        value = _scalar(head, f)
+        for link in links:
+            if link.op == "except":
+                overrides = {**value.rep.exceptions, **dict(link.overrides)}
+                value = Scalar(RSeq(value.rep.modulus, value.rep.branches, overrides), f)
+                continue
+            right = _scalar(link.right, f)
+            if link.op == "+":
+                value = value + right
+            elif link.op == "-":
+                value = value - right
+            elif link.op == "*":
+                value = value * right
+            else:
+                value = value * try_invert(right)
+        return value
     if isinstance(node, Ind):
         return Scalar(indicator(eval_set(node.set_expr)), f)
-    if isinstance(node, Except):
-        base = _as_scalar(evaluate(node.arg, f), f)
-        overrides = dict(base.rep.exceptions)
-        overrides.update(dict(node.overrides))
-        return Scalar(RSeq(base.rep.modulus, base.rep.branches, overrides), f)
     if isinstance(node, Call):
-        if node.name in BINARY_CALLS:
-            a = _as_scalar(evaluate(node.args[0], f), f)
-            b = _as_scalar(evaluate(node.args[1], f), f)
-            return scalar_eq(a, b) if node.name == "eq" else leq(a, b)
-        arg = _as_scalar(evaluate(node.args[0], f), f)
-        if node.name == "shift":
+        args = [_scalar(a, f) for a in node.args]
+        name, arg = node.name, args[0]
+        if name == "eq":
+            return scalar_eq(*args)
+        if name == "le":
+            return leq(*args)
+        if name == "shift":
             return Scalar(arg.rep.shift(), f)
-        if node.name == "sum":
+        if name == "sum":
             return Scalar(partial_sums(arg.rep), f)
-        if node.name == "st":
+        if name == "st":
             return standard_part(arg)
-        if node.name == "class":
+        if name == "class":
             return classify(arg)
-        if node.name == "invert":
+        if name == "invert":
             return try_invert(arg)
-        if node.name == "limit":
+        if name == "limit":
             return arg.rep.limit()
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -604,25 +595,18 @@ def _poly_expr(p: Poly):
         return Lit(0)
     items = [(k, p.coeffs[k]) for k in range(p.degree, -1, -1) if p.coeffs[k] != 0]
 
-    def leading(k, c):
+    def term(k, c):
+        # Only the leading term keeps its sign; later ones carry it as + or -.
         if k == 0:
             return _rat_expr(c)
-        if c == 1:
-            return _monomial_expr(None, k)
-        if c == -1:
-            return Neg(_monomial_expr(None, k))
-        return _monomial_expr(_rat_expr(c), k)
+        if abs(c) != 1:
+            return _monomial_expr(_rat_expr(c), k)
+        power = _monomial_expr(None, k)
+        return Neg(power) if c < 0 else power
 
-    def trailing(k, c_abs):
-        if k == 0:
-            return _rat_expr(c_abs)
-        if c_abs == 1:
-            return _monomial_expr(None, k)
-        return _monomial_expr(_rat_expr(c_abs), k)
-
-    node = leading(*items[0])
+    node = term(*items[0])
     for k, c in items[1:]:
-        node = BinOp("-" if c < 0 else "+", node, trailing(k, abs(c)))
+        node = BinOp("-" if c < 0 else "+", node, term(k, abs(c)))
     return node
 
 

@@ -34,10 +34,6 @@ class FiniteConfig:
         if self.field_order not in (2, 3):
             raise ConfigTooLarge("field order must be 2 or 3")
 
-    @property
-    def ring_size(self) -> int:
-        return self.field_order**self.lambda_size
-
 
 Vector = tuple[int, ...]
 

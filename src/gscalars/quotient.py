@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivisor, ZeroScalar
-from .exactnum import Rat, RatFun, integer_roots_nonneg, limit_at_infinity, sign_breaks
+from .exactnum import Rat, RatFun, limit_at_infinity, sign_breaks
 from .galois import in_ideal
 from .report import Report
 from .seqrep import RSeq, indicator, make_constant, make_identity
@@ -128,10 +128,6 @@ def leq(a: Scalar, b: Scalar) -> bool:
     return a.filter.contains(le_set(a, b))
 
 
-def lt(a: Scalar, b: Scalar) -> bool:
-    return leq(a, b) and not scalar_eq(a, b)
-
-
 def try_invert(a: Scalar) -> Scalar:
     """Multiplicative inverse in the quotient algebra.
 
@@ -145,20 +141,14 @@ def try_invert(a: Scalar) -> Scalar:
     if not a.filter.contains(z.complement()):
         raise ZeroDivisor(Scalar(indicator(z), a.filter))
 
-    m = a.rep.modulus
-    branches = []
-    points: set[int] = set(a.rep.exceptions)
-    for r, br in enumerate(a.rep.branches):
-        if br.is_zero():
-            branches.append(RatFun.constant(0))
-            continue
-        branches.append(br.reciprocal())
-        points.update(n for n in integer_roots_nonneg(br.num) if n % m == r)
+    # The reciprocal branches need overrides exactly at the exceptions and
+    # at the zeros of nonzero branches, which are the finite part of z.
+    branches = [RatFun.constant(0) if br.is_zero() else br.reciprocal() for br in a.rep.branches]
     overrides = {}
-    for n in points:
+    for n in set(a.rep.exceptions) | z.plus:
         v = a.rep.eval(n)
         overrides[n] = 1 / v if v != 0 else Fraction(0)
-    return Scalar(RSeq(m, branches, overrides), a.filter)
+    return Scalar(RSeq(a.rep.modulus, branches, overrides), a.filter)
 
 
 def _relevant_branches(a: Scalar) -> list[int]:

@@ -18,11 +18,11 @@ from .errors import MissingException, NotConvergent, UnboundedSequence
 from .exactnum import (
     Rat,
     RatFun,
-    eventual_sign,
     integer_roots_nonneg,
     limit_at_infinity,
+    sign_breaks,
 )
-from .sets_filters import SetDescriptor
+from .sets_filters import SetDescriptor, minimal_period
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,13 +79,8 @@ class RSeq:
                 raise ValueError("exception indices must be naturals")
 
         # Fold to the smallest divisor modulus with identical branch pattern.
-        for d in range(1, modulus + 1):
-            if modulus % d:
-                continue
-            if all(branches[r] == branches[r % d] for r in range(modulus)):
-                modulus = d
-                branches = branches[:d]
-                break
+        modulus = minimal_period(branches)
+        branches = branches[:modulus]
 
         # Totality: every denominator root in its class must be overridden.
         for r, br in enumerate(branches):
@@ -212,16 +207,25 @@ class RSeq:
         return verdict.limit
 
     def _bounds(self) -> tuple[Rat, Rat]:
+        """(inf, sup) from the few points where a monotone run can end.
+
+        Along class r the step br(n + m) - br(n) keeps one sign between
+        consecutive sign breaks c, so the branch is monotone there and its
+        runs end at the class's first point, in some [c, c + m], or at the
+        branch limit.  An exception e cuts a run into pieces that end at
+        e - m and e + m.
+        """
         verdict = self.classify_bounded()
         if verdict.kind == BSeqVerdict.UNBOUNDED:
             raise UnboundedSequence("sup/inf of an unbounded sequence")
         m = self.modulus
-        threshold = max(self.exceptions, default=0)
-        for br in self.branches:
-            diff = br.shift_arg(m) - br
-            _, n0 = eventual_sign(diff)
-            threshold = max(threshold, n0)
-        candidates = [self.eval(n) for n in range(threshold + m + 1)]
+        points = set(range(m))
+        for e in self.exceptions:
+            points.update(n for n in (e - m, e, e + m) if n >= 0)
+        for r, br in enumerate(self.branches):
+            for c in sign_breaks(br.shift_arg(m) - br):
+                points.update(range(c + (r - c) % m, c + m + 1, m))
+        candidates = [self.eval(n) for n in points]
         candidates.extend(l.value for l in self.branch_limits())
         return min(candidates), max(candidates)
 

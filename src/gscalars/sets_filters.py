@@ -18,6 +18,14 @@ from .errors import InvalidFilter
 from .report import Report
 
 
+def minimal_period(pattern) -> int:
+    """The smallest d dividing len(pattern) with pattern[r] == pattern[r % d]."""
+    m = len(pattern)
+    return next(
+        d for d in range(1, m + 1) if m % d == 0 and all(pattern[r] == pattern[r % d] for r in range(d, m))
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SetDescriptor:
     """Eventually periodic subset of N with finite modifications.
@@ -38,34 +46,16 @@ class SetDescriptor:
         residues = frozenset(r % modulus for r in residues)
         plus = frozenset(plus)
         minus = frozenset(minus)
-        for n in plus | minus:
-            if n < 0:
-                raise ValueError("finite modifications must be naturals")
+        if any(n < 0 for n in plus | minus):
+            raise ValueError("finite modifications must be naturals")
+        # A point in `plus` is a member, so only points outside the residue
+        # classes need listing; one in `minus` only inside them.
+        canon_plus = frozenset(n for n in plus if n % modulus not in residues)
+        canon_minus = frozenset(n for n in minus - plus if n % modulus in residues)
+        period = minimal_period([r in residues for r in range(modulus)])
 
-        def raw_member(n: int) -> bool:
-            if n in plus:
-                return True
-            return n % modulus in residues and n not in minus
-
-        # Canonical finite parts relative to the residue classes.
-        touched = plus | minus
-        canon_plus = frozenset(n for n in touched if raw_member(n) and n % modulus not in residues)
-        canon_minus = frozenset(n for n in touched if not raw_member(n) and n % modulus in residues)
-
-        # Minimal modulus: smallest divisor whose residue pattern matches.
-        final_mod = modulus
-        final_res = residues
-        for d in range(1, modulus + 1):
-            if modulus % d:
-                continue
-            folded = frozenset(r % d for r in residues)
-            if all((r % d in folded) == (r in residues) for r in range(modulus)):
-                final_mod = d
-                final_res = folded
-                break
-
-        object.__setattr__(self, "modulus", final_mod)
-        object.__setattr__(self, "residues", final_res)
+        object.__setattr__(self, "modulus", period)
+        object.__setattr__(self, "residues", frozenset(r for r in residues if r < period))
         object.__setattr__(self, "plus", canon_plus)
         object.__setattr__(self, "minus", canon_minus)
 

@@ -170,8 +170,6 @@ class TestNestingLimit:
         "unary-minus": "0+" + "-" * 3000 + "1",
         "shift-calls": "shift(" * 300 + "n" + ")" * 300,
         "set-complements": "ind(" + "~" * 3000 + "evens)",
-        "sum-chain": "+".join(["1"] * 1500),
-        "set-union-chain": "ind(" + "|".join(["evens"] * 1500) + ")",
     }
 
     @pytest.mark.parametrize("expression", PROBES.values(), ids=PROBES.keys())
@@ -187,7 +185,42 @@ class TestNestingLimit:
         assert run_cli("eval", "(" * (depth - 1) + "2" + ")" * (depth - 1)) == (0, "2 [Appreciable]\n")
         assert run_cli("eval", "+".join(["1"] * depth)) == (0, f"{depth} [Appreciable]\n")
         assert run_cli("eval", "(" * depth + "2" + ")" * depth) == (1, "error: NestingTooDeep\n")
-        assert run_cli("eval", "+".join(["1"] * (depth + 1))) == (1, "error: NestingTooDeep\n")
+
+    LEVELS = {
+        "unary-minus": ("-" * (MAX_DEPTH - 1) + "1", "-1 [Appreciable]\n"),
+        "shift-calls": ("shift(" * (MAX_DEPTH - 1) + "n" + ")" * (MAX_DEPTH - 1), f"n + {MAX_DEPTH - 1} [Infinite]\n"),
+        "right-nested-sums": ("1+(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1), f"{MAX_DEPTH} [Appreciable]\n"),
+        "set-complements": ("ind(" + "~" * (MAX_DEPTH - 2) + "evens)", "ind(0 mod 2) [Appreciable]\n"),
+    }
+
+    @pytest.mark.parametrize("expression,expected", LEVELS.values(), ids=LEVELS.keys())
+    def test_each_kind_of_nesting_evaluates_at_the_limit(self, expression, expected):
+        assert run_cli("eval", "--", expression) == (0, expected)
+
+    CHAINS = {
+        "sum-chain": ("+".join(["1"] * 1500), "1500 [Appreciable]\n"),
+        "set-union-chain": ("ind(" + "|".join(["evens"] * 1500) + ")", "ind(0 mod 2) [Appreciable]\n"),
+        "sum-chain-past-the-limit": ("+".join(["1"] * (MAX_DEPTH + 1)), f"{MAX_DEPTH + 1} [Appreciable]\n"),
+        "except-chain": ("1" + " except {0: 1}" * 3000, "ind(0 mod 1) [Appreciable]\n"),
+    }
+
+    @pytest.mark.parametrize("expression,expected", CHAINS.values(), ids=CHAINS.keys())
+    def test_operator_chains_of_any_length_evaluate(self, expression, expected):
+        """Only nesting counts toward MAX_DEPTH; a chain opens no level."""
+        assert run_cli("eval", "--", expression) == (0, expected)
+
+    def test_long_except_chain_renders(self):
+        text = "1" + " except {0: 1}" * 3000
+        assert render(parse(text)) == text
+
+    def test_rendered_value_past_the_limit_round_trips(self):
+        """A value whose canonical form is a chain longer than MAX_DEPTH
+        re-evaluates to the same class."""
+        expression = "n + n*ind(0 mod 120)"
+        code, text = run_cli("eval", "--", expression)
+        rendered = text.rsplit(" [", 1)[0]
+        assert code == 0 and rendered.count(" + ") == 119
+        assert run_cli("eq", "--", rendered, expression) == (0, "true\n")
 
 
 class TestErrorDetail:

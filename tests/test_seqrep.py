@@ -245,6 +245,17 @@ class TestBounds:
             assert x.inf_val() == min(values + limits)
             assert x.sup_val() == max(values + limits)
 
+    def test_far_extremum_costs_few_evaluations(self, monkeypatch):
+        # n / ((n - c)^2 + 1) peaks at n = c; the bounds evaluate only the
+        # points where a monotone run can end, not every point up to c.
+        c = 10**5
+        x = RSeq(1, [RatFun(poly(0, 1), poly(c * c + 1, -2 * c, 1))])
+        calls = []
+        evaluate = RSeq.eval
+        monkeypatch.setattr(RSeq, "eval", lambda self, n: calls.append(n) or evaluate(self, n))
+        assert (x.inf_val(), x.sup_val()) == (0, c)
+        assert len(calls) < 200
+
     def test_limit_between_bounds(self):
         rng = random.Random(41)
         for _ in range(25):
