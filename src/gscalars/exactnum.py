@@ -255,13 +255,28 @@ class RatFun:
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
 
+    # The zero function is canonical 0/1, so a zero operand is answered
+    # without the gcd work of a new canonical form.
+
     def __add__(self, other: "RatFun") -> "RatFun":
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
         return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
-        return self + (-other)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return -other
+        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
         return RatFun(self.num * other.num, self.den * other.den)
 
     def scale(self, c) -> "RatFun":

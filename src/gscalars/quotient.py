@@ -93,34 +93,31 @@ def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
 
     Each branch of a - b keeps one sign on its class between consecutive
     sign breaks, so one probe decides a whole gap: the class points of a gap
-    whose sign differs from the branch's eventual sign are deviations
-    without being evaluated.  Only break points and exceptions are
-    evaluated one by one.
+    whose sign differs from the branch's eventual sign become one segment of
+    flips against the eventual pattern, without being evaluated or listed.
+    Only break points and exceptions are evaluated one by one.
     """
     a._same_algebra(b)
     d = a.rep - b.rep
     m = d.modulus
-    residues = set()
-    truth: dict[int, bool] = {}
+    residues = []
+    runs = []
     points = set(d.exceptions)
     for r, br in enumerate(d.branches):
-        breaks = sign_breaks(br)
         # Past the last break the sign is that of the leading coefficients.
         eventual = br.num.lead * br.den.lead <= 0
         if eventual:
-            residues.add(r)
+            residues.append(r)
         lo = 0
-        for c in breaks:
+        for c in sign_breaks(br):
             first = lo + (r - lo) % m
             if first < c and (br(first) < 0) != eventual:
-                truth.update(dict.fromkeys(range(first, c, m), not eventual))
+                runs.append((first, c, m, 1 << r))
             if c % m == r:
                 points.add(c)
             lo = c + 1
-    truth.update((n, d.eval(n) <= 0) for n in points)
-    plus = [n for n, t in truth.items() if t]
-    minus = [n for n, t in truth.items() if not t]
-    return SetDescriptor(m, residues, plus=plus, minus=minus)
+    plus = [n for n in points if d.eval(n) <= 0]
+    return SetDescriptor(m, residues, plus=plus, minus=points.difference(plus), flips=runs)
 
 
 def leq(a: Scalar, b: Scalar) -> bool:

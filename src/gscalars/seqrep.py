@@ -79,7 +79,9 @@ class RSeq:
                 raise ValueError("exception indices must be naturals")
 
         # Fold to the smallest divisor modulus with identical branch pattern.
-        modulus = minimal_period(branches)
+        modulus = minimal_period(
+            modulus, lambda d: all(branches[r] == branches[r % d] for r in range(d, len(branches)))
+        )
         branches = branches[:modulus]
 
         # Totality: every denominator root in its class must be overridden.

@@ -1,9 +1,19 @@
 """Decidable subsets of N and decidable filters on N.
 
-A SetDescriptor is an eventually periodic set (a union of residue classes)
-with finitely many points added or removed.  This class of sets is closed
-under boolean algebra, is exactly the class of zero sets of representable
-sequences, and makes every predicate here total and exact.
+A SetDescriptor is an eventually periodic set, kept as a periodic tail plus
+a sorted list of disjoint half-open segments on which the set deviates from
+that tail.  The tail is a residue pattern over the set's modulus, and each
+segment carries its own residue pattern, which the set follows there
+instead.  Patterns are int bitmasks, bit r standing for residue r, so lcm
+expansion, the boolean operations, `superset_of` and the minimal-period
+fold are integer operations.  No operation lists the points of a segment:
+the cost grows with the number of segments and the moduli, not with the
+distance between points.  Only `plus`, `minus`, `elements` and `render`
+list points, because their result is a point list.
+
+This class of sets is closed under boolean algebra, is exactly the class of
+zero sets of representable sequences, and makes every predicate here total
+and exact.
 
 Filters are either Frechet (all cofinite sets) or principal (all supersets
 of a fixed nonempty set).  Both give a decidable membership test.
@@ -11,53 +21,235 @@ of a fixed nonempty set).  Both give a decidable membership test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
+from operator import and_, or_, xor
 
 from .errors import InvalidFilter
 from .report import Report
 
-
-def minimal_period(pattern) -> int:
-    """The smallest d dividing len(pattern) with pattern[r] == pattern[r % d]."""
-    m = len(pattern)
-    return next(
-        d for d in range(1, m + 1) if m % d == 0 and all(pattern[r] == pattern[r % d] for r in range(d, m))
-    )
+# (start, stop, period, pattern): n in [start, stop) is a member exactly
+# when bit n % period of `pattern` is set.
+Segment = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=256)
+def _prime_factors(m: int) -> tuple[int, ...]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return tuple(out)
+
+
+def minimal_period(m: int, is_period) -> int:
+    """The smallest period of a pattern with period m, given is_period(d) for divisors d of m.
+
+    The periods of a periodic pattern are the multiples of the smallest one,
+    so dividing m by each prime factor while the quotient stays a period
+    reaches it in a handful of tests.
+    """
+    d = m
+    for p in _prime_factors(m):
+        while d % p == 0 and is_period(d // p):
+            d //= p
+    return d
+
+
+def _spread(mask: int, p: int, q: int) -> int:
+    """The pattern `mask` of period p written over q bits, for p dividing q."""
+    return mask if p == q else mask * (((1 << q) - 1) // ((1 << p) - 1))
+
+
+def _window(lo: int, hi: int, q: int) -> int:
+    """The residues mod q of the naturals in [lo, hi), as a bitmask."""
+    if hi - lo >= q:
+        return (1 << q) - 1
+    w = ((1 << (hi - lo)) - 1) << (lo % q)
+    return (w | w >> q) & ((1 << q) - 1)
+
+
+def _fold(mask: int, q: int) -> tuple[int, int]:
+    """(d, pattern) for the smallest period d of the pattern `mask` over q bits."""
+    d = minimal_period(q, lambda d: _spread(mask & ((1 << d) - 1), d, q) == mask)
+    return d, mask & ((1 << d) - 1)
+
+
+def _first_flip(lo: int, q: int, flips: int) -> int:
+    """The smallest n >= lo whose bit n % q is set in the nonzero `flips`."""
+    r = lo % q
+    turned = (flips >> r | flips << (q - r)) & ((1 << q) - 1)
+    return lo + (turned & -turned).bit_length() - 1
+
+
+def _last_flip(hi: int, q: int, flips: int) -> int:
+    """The largest n < hi whose bit n % q is set in the nonzero `flips`."""
+    r = (hi - 1) % q
+    turned = (flips << (q - 1 - r) | flips >> (r + 1)) & ((1 << q) - 1)
+    return hi - q + turned.bit_length() - 1
+
+
+def _append(out: list[Segment], modulus: int, tail: int, lo: int, hi: int, q: int, flips: int) -> None:
+    """Add the points of [lo, hi) flipped against the tail by `flips` (period
+    q) to the sorted segments `out`: trimmed to the first and last flipped
+    point, folded to the minimal period, and merged into the previous
+    segment when that one's pattern runs on up to them."""
+    if hi - lo > 1:
+        flips &= _window(lo, hi, q)
+        if not flips:
+            return
+        lo, hi = _first_flip(lo, q, flips), _last_flip(hi, q, flips) + 1
+    elif not flips >> lo % q & 1:
+        return
+    if hi - lo == 1:
+        p, pattern = 1, 1 - (tail >> lo % modulus & 1)
+    else:
+        r = lcm(q, modulus)
+        p, pattern = _fold(_spread(flips & _window(lo, hi, q), q, r) ^ _spread(tail, modulus, r), r)
+    if out:
+        start, stop, p0, pattern0 = out[-1]
+        if p0 == p and pattern0 == pattern:
+            r = lcm(p, modulus)
+            if stop == lo or not (_spread(pattern, p, r) ^ _spread(tail, modulus, r)) & _window(stop, lo, r):
+                out[-1] = (start, hi, p, pattern)
+                return
+    out.append((lo, hi, p, pattern))
+
+
+def _normal_segments(modulus: int, tail: int, flips, plus: set[int], minus: set[int]) -> tuple[Segment, ...]:
+    """The segments of the set that follows the tail except where `flips`
+    (start, stop, period, flipped residues) flip it, overlapping flips
+    cancelling, and that holds `plus` and avoids `minus` but not `plus`."""
+    flips = sorted(f for f in flips if f[0] < f[1])
+    if flips and (plus or minus or any(a[1] > b[0] for a, b in zip(flips, flips[1:]))):
+        flips = _disjoint(modulus, tail, flips, plus, minus)
+    elif plus or minus:
+        flips = [(n, n + 1, 1, 1) for n in sorted(plus | minus) if (n in plus) != (tail >> n % modulus & 1)]
+    out: list[Segment] = []
+    for f in flips:
+        _append(out, modulus, tail, *f)
+    return tuple(out)
+
+
+def _disjoint(modulus: int, tail: int, flips: list[Segment], plus: set[int], minus: set[int]) -> list[Segment]:
+    """The sorted `flips` and the points as disjoint flips."""
+    points = plus | minus
+    cuts = {n for f in flips for n in f[:2]}
+    cuts.update(points)
+    cuts.update(n + 1 for n in points)
+    cuts = sorted(cuts)
+    out = []
+    active: list[Segment] = []
+    i = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while i < len(flips) and flips[i][0] == lo:
+            active.append(flips[i])
+            i += 1
+        if lo in points:
+            # [lo, hi) is the single point lo.
+            if (lo in plus) != (tail >> lo % modulus & 1):
+                out.append((lo, hi, 1, 1))
+        elif active:
+            active = [f for f in active if f[1] > lo]
+            q = lcm(*(f[2] for f in active))
+            mask = 0
+            for f in active:
+                mask ^= _spread(f[3], f[2], q)
+            out.append((lo, hi, q, mask))
+    return out
+
+
+def _pieces(s: "SetDescriptor"):
+    """The runs (start, stop, period, pattern) that cover N in order, each
+    with the set's membership pattern on it; the last stop is None."""
+    lo = 0
+    for start, stop, p, pattern in s.segments:
+        if lo < start:
+            yield lo, start, s.modulus, s.tail
+        yield start, stop, p, pattern
+        lo = stop
+    yield lo, None, s.modulus, s.tail
+
+
+_INF = float("inf")
+_NONE = (_INF, _INF, 1, 0)
+
+
+def _overlay(s: "SetDescriptor", t: "SetDescriptor"):
+    """The runs (start, stop, period, pattern of s, pattern of t) that cover
+    the segments of both sets, in order, on each of which both sets follow
+    one membership pattern over a shared period.  Outside these runs both
+    sets follow their tails."""
+    ss, ts = s.segments, t.segments
+    i = j = lo = 0
+    a = ss[0] if ss else _NONE
+    b = ts[0] if ts else _NONE
+    while a is not _NONE or b is not _NONE:
+        if lo < a[0] and lo < b[0]:
+            lo = a[0] if a[0] < b[0] else b[0]
+        if a[0] <= lo:
+            _, hi, p, pa = a
+        else:
+            p, pa, hi = s.modulus, s.tail, a[0]
+        if b[0] <= lo:
+            _, stop, q, pb = b
+        else:
+            q, pb, stop = t.modulus, t.tail, b[0]
+        if stop < hi:
+            hi = stop
+        if p != q:
+            r = lcm(p, q)
+            pa, pb, p = _spread(pa, p, r), _spread(pb, q, r), r
+        yield lo, hi, p, pa, pb
+        if a[1] == hi:
+            i += 1
+            a = ss[i] if i < len(ss) else _NONE
+        if b[1] == hi:
+            j += 1
+            b = ts[j] if j < len(ts) else _NONE
+        lo = hi
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class SetDescriptor:
-    """Eventually periodic subset of N with finite modifications.
+    """Eventually periodic subset of N: a periodic tail plus deviating segments.
 
-    n is a member iff n is in `plus`, or n mod modulus is in `residues`
-    and n is not in `minus`.  Canonical form: minimal modulus, plus
-    disjoint from the residue classes, minus inside them.
+    n is a member iff bit n % period of `pattern` is set, for the segment
+    (start, stop, period, pattern) with start <= n < stop, or iff bit
+    n % modulus of `tail` is set when no segment holds n.  Canonical form:
+    the tail at its minimal modulus; sorted, disjoint segments, each of
+    which begins and ends at a point where the set deviates from the tail,
+    with its pattern at its minimal period.  A set can be cut into segments
+    in more than one way, so equality compares the sets.
     """
 
     modulus: int
-    residues: frozenset[int]
-    plus: frozenset[int]
-    minus: frozenset[int]
+    tail: int
+    segments: tuple[Segment, ...]
 
-    def __init__(self, modulus: int, residues=(), plus=(), minus=()):
+    def __init__(self, modulus: int, residues=(), plus=(), minus=(), *, pattern: int = 0, flips=()):
+        """n is a member iff n is in `plus`, or n is not in `minus` and the
+        tail (`residues` mod modulus, or the same as the bitmask `pattern`)
+        holds n, flipped once by each (start, stop, period, mask) of `flips`
+        with start <= n < stop and bit n % period of mask set."""
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        residues = frozenset(r % modulus for r in residues)
-        plus = frozenset(plus)
-        minus = frozenset(minus)
-        if any(n < 0 for n in plus | minus):
+        for r in residues:
+            pattern |= 1 << r % modulus
+        plus, minus = set(plus), set(minus)
+        if any(n < 0 for n in plus | minus) or any(f[0] < 0 for f in flips):
             raise ValueError("finite modifications must be naturals")
-        # A point in `plus` is a member, so only points outside the residue
-        # classes need listing; one in `minus` only inside them.
-        canon_plus = frozenset(n for n in plus if n % modulus not in residues)
-        canon_minus = frozenset(n for n in minus - plus if n % modulus in residues)
-        period = minimal_period([r in residues for r in range(modulus)])
-
+        period, tail = _fold(pattern, modulus)
         object.__setattr__(self, "modulus", period)
-        object.__setattr__(self, "residues", frozenset(r for r in residues if r < period))
-        object.__setattr__(self, "plus", canon_plus)
-        object.__setattr__(self, "minus", canon_minus)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "segments", _normal_segments(period, tail, flips, plus, minus))
 
     # -- constructors ---------------------------------------------------
 
@@ -92,95 +284,140 @@ class SetDescriptor:
     # -- predicates ------------------------------------------------------
 
     def member(self, n: int) -> bool:
-        if n in self.plus:
-            return True
-        return n % self.modulus in self.residues and n not in self.minus
+        # The last segment starting at or before n is the only one that can hold it.
+        i = bisect_right(self.segments, (n, _INF))
+        if i:
+            _, stop, p, pattern = self.segments[i - 1]
+            if n < stop:
+                return bool(pattern >> n % p & 1)
+        return bool(self.tail >> n % self.modulus & 1)
 
     __contains__ = member
 
     def is_empty(self) -> bool:
-        return not self.residues and not self.plus
+        return not self.tail and not self.segments
 
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self.tail
 
     def is_cofinite(self) -> bool:
-        return len(self.residues) == self.modulus
+        return self.tail == (1 << self.modulus) - 1
 
     def is_naturals(self) -> bool:
-        return self.is_cofinite() and not self.minus
+        return self.is_cofinite() and not self.segments
+
+    @property
+    def residues(self) -> frozenset[int]:
+        """The tail's residues mod `modulus`."""
+        return frozenset(r for r in range(self.modulus) if self.tail >> r & 1)
+
+    def _deviations(self, removed: bool) -> list[int]:
+        """The sorted points where the set deviates from its tail: the
+        members outside the tail's residues, or the non-members inside them
+        (`removed`).  Lists every such point."""
+        m = self.modulus
+        out = []
+        for start, stop, p, pattern in self.segments:
+            q = lcm(p, m)
+            pattern, tail = _spread(pattern, p, q), _spread(self.tail, m, q)
+            picked = tail & ~pattern if removed else pattern & ~tail
+            for r in range(q):
+                if picked >> r & 1:
+                    out.extend(range(start + (r - start) % q, stop, q))
+        out.sort()
+        return out
+
+    @property
+    def plus(self) -> frozenset[int]:
+        """The members outside the tail's residues, each listed."""
+        return frozenset(self._deviations(removed=False))
+
+    @property
+    def minus(self) -> frozenset[int]:
+        """The non-members inside the tail's residues, each listed."""
+        return frozenset(self._deviations(removed=True))
 
     def elements(self) -> list[int]:
         """All members, defined only for finite descriptors."""
         if not self.is_finite():
             raise ValueError("infinite set has no element list")
-        return sorted(self.plus)
+        return self._deviations(removed=False)
 
     def sample(self, count: int) -> list[int]:
         """The first `count` members in increasing order."""
         out = []
-        n = 0
-        # Bail out once past the point where only residues matter.
-        horizon = max([self.modulus, *self.plus, *self.minus], default=1) + 1
-        while len(out) < count:
-            if self.member(n):
-                out.append(n)
-            n += 1
-            if n > horizon and not self.residues:
-                break
+        for lo, hi, p, pattern in _pieces(self):
+            n = lo
+            while pattern and len(out) < count and (hi is None or n < hi):
+                if pattern >> n % p & 1:
+                    out.append(n)
+                n += 1
         return out
 
     # -- boolean algebra --------------------------------------------------
 
     def complement(self) -> "SetDescriptor":
-        comp_res = frozenset(range(self.modulus)) - self.residues
-        return SetDescriptor(self.modulus, comp_res, plus=self.minus, minus=self.plus)
+        return self._combine(SetDescriptor.naturals(), xor)
 
     def union(self, other: "SetDescriptor") -> "SetDescriptor":
-        return self._combine(other, lambda a, b: a or b)
+        return self._combine(other, or_)
 
     def intersect(self, other: "SetDescriptor") -> "SetDescriptor":
-        return self._combine(other, lambda a, b: a and b)
+        return self._combine(other, and_)
 
     def _combine(self, other: "SetDescriptor", op) -> "SetDescriptor":
         m = lcm(self.modulus, other.modulus)
-        residues = frozenset(
-            r for r in range(m) if op(r % self.modulus in self.residues, r % other.modulus in other.residues)
-        )
-        touched = self.plus | self.minus | other.plus | other.minus
-        plus = [n for n in touched if op(self.member(n), other.member(n))]
-        return SetDescriptor(m, residues, plus=plus, minus=touched.difference(plus))
+        tail = op(_spread(self.tail, self.modulus, m), _spread(other.tail, other.modulus, m))
+        flips = []
+        for lo, hi, q, a, b in _overlay(self, other):
+            r = lcm(q, m)
+            flips.append((lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r)))
+        return SetDescriptor(m, pattern=tail, flips=flips)
 
     def superset_of(self, other: "SetDescriptor") -> bool:
-        # Residue classes of `other` must land inside ours (a missing class
-        # leaves infinitely many points uncovered); finite parts checked
-        # pointwise.  Equivalent to other.intersect(self.complement()).is_empty().
-        m = lcm(self.modulus, other.modulus)
-        for r in range(m):
-            if r % other.modulus in other.residues and r % self.modulus not in self.residues:
-                return False
-        for n in self.plus | self.minus | other.plus | other.minus:
-            if other.member(n) and not self.member(n):
-                return False
+        # A residue class of `other` missing from our tail leaves infinitely
+        # many points uncovered, so the tails are compared first.
+        mine, theirs, m = self.tail, other.tail, self.modulus
+        if other.modulus != m:
+            m = lcm(m, other.modulus)
+            mine, theirs = _spread(mine, self.modulus, m), _spread(theirs, other.modulus, m)
+        if theirs & ~mine:
+            return False
+        if self.segments or other.segments:
+            for lo, hi, q, mine, theirs in _overlay(self, other):
+                if theirs & ~mine & _window(lo, hi, q):
+                    return False
         return True
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SetDescriptor):
+            return NotImplemented
+        return (
+            self.modulus == other.modulus
+            and self.tail == other.tail
+            and (self.segments == other.segments or self._combine(other, xor).is_empty())
+        )
+
+    def __hash__(self) -> int:
+        # The first and last deviating points do not depend on the segmentation.
+        ends = (self.segments[0][0], self.segments[-1][1]) if self.segments else ()
+        return hash((self.modulus, self.tail, ends))
 
     # -- rendering ---------------------------------------------------------
 
     def render(self) -> str:
         """Canonical text in the CLI set grammar."""
-        if self.is_empty():
-            return "{}"
-        if self.is_finite():
-            return "{" + ",".join(str(n) for n in sorted(self.plus)) + "}"
+        added = self._deviations(removed=False)
+        if not self.tail:
+            return "{" + ",".join(map(str, added)) + "}"
+        removed = self._deviations(removed=True)
         base = "|".join(f"{r} mod {self.modulus}" for r in sorted(self.residues))
-        if len(self.residues) > 1 and (self.minus or self.plus):
+        if self.tail & (self.tail - 1) and self.segments:
             base = f"({base})"
-        if self.minus:
-            removed = "{" + ",".join(str(n) for n in sorted(self.minus)) + "}"
-            base = f"{base}&~{removed}"
-        if self.plus:
-            added = "{" + ",".join(str(n) for n in sorted(self.plus)) + "}"
-            base = f"{base}|{added}"
+        if removed:
+            base = base + "&~{" + ",".join(map(str, removed)) + "}"
+        if added:
+            base = base + "|{" + ",".join(map(str, added)) + "}"
         return base
 
     def __repr__(self) -> str:

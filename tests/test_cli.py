@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gscalars import exactnum
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
 from gscalars.expr import MAX_DEPTH, parse, render
@@ -221,6 +222,38 @@ class TestNestingLimit:
         rendered = text.rsplit(" [", 1)[0]
         assert code == 0 and rendered.count(" + ") == 119
         assert run_cli("eq", "--", rendered, expression) == (0, "true\n")
+
+
+class TestOrderAtScale:
+    """The order reads set descriptors whose deviation runs are segments,
+    so its cost does not grow with where two sequences cross."""
+
+    def test_le_far_crossing_answers(self):
+        assert run_cli("eval", "le(n, 100000000)") == (0, "false\n")
+        assert run_cli("eval", "le(100000000, n)") == (0, "true\n")
+
+    def test_archimedean_at_ten_thousand_passes(self):
+        code, text = run_cli("check", "archimedean", "--kmax", "10000")
+        checks = [line for line in text.splitlines() if not line.endswith(" passed, 0 failed")]
+        assert code == 0 and len(checks) == 4
+        assert all(line.startswith("PASS ") for line in checks), text
+
+    def test_round_trip_of_a_long_sum_skips_zero_gcds(self, monkeypatch):
+        """Adding or multiplying by the zero function takes no gcd: the
+        200-term rendered value re-evaluates with few gcd calls."""
+        expression = "n + n*ind(0 mod 200)"
+        rendered = run_cli("eval", "--", expression)[1].rsplit(" [", 1)[0]
+        calls = 0
+        gcd = exactnum.poly_gcd
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return gcd(a, b)
+
+        monkeypatch.setattr(exactnum, "poly_gcd", counting)
+        assert run_cli("eq", "--", rendered, expression) == (0, "true\n")
+        assert calls < 2000
 
 
 class TestErrorDetail:

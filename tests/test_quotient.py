@@ -261,6 +261,53 @@ class TestOrder:
             expected = all(t for n, t in enumerate(truth) if base.member(n))
             assert leq(Scalar(x, f), Scalar(y, f)) == expected
 
+    def test_long_deviation_runs_match_scan_under_infinite_bases(self):
+        """Each class crosses 0 once or twice between 10^4 and 6*10^4, so
+        le_set deviates from its tail on class runs of tens of thousands of points.
+        Each run is kept as a segment, not as points, and leq under
+        principal filters over infinite bases matches an integer scan."""
+        rng = random.Random(131)
+        outcomes = set()
+        for _ in range(8):
+            m = rng.randint(2, 3)
+            # Half the cases fall below y on every class eventually.
+            signs = [-1] * m if rng.random() < 0.5 else [rng.choice([1, -1]) for _ in range(m)]
+            branches = []
+            for sign in signs:
+                c = rng.randint(10**4, 5 * 10**4)
+                num = poly(-c, 1) if rng.random() < 0.5 else poly(-c, 1) * poly(-(c + rng.randint(1, 10**4)), 1)
+                branches.append(RatFun(num.scale(sign * rng.choice([1, rat(2, 3)]))))
+            exceptions = {rng.randint(0, 2 * 10**5): random_rat(rng) for _ in range(rng.randint(0, 2))}
+            x = RSeq(m, branches, exceptions)
+            y = make_constant(random_rat(rng))
+            ls = le_set(Scalar(x, FRECHET), Scalar(y, FRECHET))
+            assert len(ls.segments) <= 3 * m + 2 * len(exceptions)
+
+            start = max(root_free_beyond(branch_polys(x - y)), *x.exceptions, 0) + 1
+            window = start + 2 * 6 * m
+            truth = pointwise_le(x, y, window)
+            assert [ls.member(n) for n in range(window)] == truth
+            outcomes.add(("frechet", all(truth[window - 6 * m:])))
+            assert leq(Scalar(x, FRECHET), Scalar(y, FRECHET)) == all(truth[window - 6 * m:])
+
+            r = rng.randrange(m)
+            late_class = SetDescriptor(m, [r], flips=[(0, start, m, 1 << r)])  # class r from `start` on
+            miss = [n for n in range(r, start, m) if not truth[n]]
+            bases = [
+                SetDescriptor(6, rng.sample(range(6), rng.randint(1, 5)), plus=[rng.randint(0, 300)]),
+                SetDescriptor.residue_class(r, m),
+                late_class,
+                late_class.union(SetDescriptor.finite(rng.sample(miss, 1) if miss else [])),
+                SetDescriptor.odds().union(SetDescriptor.finite(rng.sample(range(2 * 10**5), 3))),
+                SetDescriptor.cofinite(rng.sample(range(2 * 10**5), 5)),
+            ]
+            for base in bases:
+                f = FilterDescriptor.principal(base)
+                expected = all(t for n, t in enumerate(truth) if base.member(n))
+                outcomes.add(("principal", expected))
+                assert leq(Scalar(x, f), Scalar(y, f)) == expected
+        assert outcomes == {(kind, held) for kind in ("frechet", "principal") for held in (True, False)}
+
     def test_le_set_evaluations_grow_with_roots_not_crossing(self, monkeypatch):
         calls = 0
         evaluate = Poly.__call__

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gscalars.errors import InvalidFilter
-from gscalars.sets_filters import FilterDescriptor, SetDescriptor, check_filter_axioms
+from gscalars.sets_filters import FilterDescriptor, SetDescriptor, check_filter_axioms, minimal_period
 
 WINDOW = 200
 
@@ -194,3 +194,192 @@ class TestRendering:
         b = a.complement()
         if a != b:
             assert a.render() != b.render()
+
+
+# -- segments against an explicit-interval reference ---------------------------------
+
+
+class Ref:
+    """A set spelled out as a tail (m, residues) plus disjoint explicit
+    intervals (start, stop, p, residues); n in an interval is a member iff
+    n % p is in its residues, any other n iff n % m is in the tail's."""
+
+    def __init__(self, m, tail, intervals):
+        self.m, self.tail, self.intervals = m, frozenset(tail), intervals
+
+    def __call__(self, n):
+        for start, stop, p, residues in self.intervals:
+            if start <= n < stop:
+                return n % p in residues
+        return n % self.m in self.tail
+
+    def periods(self):
+        return [self.m, *(p for _, _, p, _ in self.intervals)]
+
+    def cuts(self):
+        return [x for start, stop, _, _ in self.intervals for x in (start, stop)]
+
+    def descriptor(self):
+        """The same set through the public constructor, as flips against the tail."""
+        flips = []
+        for start, stop, p, residues in self.intervals:
+            q = lcm(p, self.m)
+            mask = sum(1 << r for r in range(q) if (r % p in residues) != (r % self.m in self.tail))
+            flips.append((start, stop, q, mask))
+        return SetDescriptor(self.m, self.tail, flips=flips)
+
+
+@st.composite
+def references(draw):
+    # Short reaches make segments touch and overlap; long ones reach 10^6.
+    reach = draw(st.sampled_from([40, 10**6]))
+    m = draw(st.integers(1, 6))
+    tail = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    cuts = sorted(draw(st.sets(st.integers(0, reach), max_size=8)))
+    intervals = []
+    for start, stop in zip(cuts[::2], cuts[1::2]):
+        p = draw(st.integers(1, 6))
+        intervals.append((start, stop, p, frozenset(draw(st.sets(st.integers(0, p - 1), max_size=p)))))
+    return Ref(m, tail, intervals)
+
+
+def pieces_agree(desc: SetDescriptor, expected, refs) -> bool:
+    """desc matches the predicate `expected` everywhere.
+
+    Between consecutive cuts of the references and of desc every set here
+    is periodic with a period dividing L, so the first L points of each
+    piece (and of the part past the last cut) decide it."""
+    L = lcm(*(p for r in refs for p in r.periods()), desc.modulus, *(s[2] for s in desc.segments))
+    cuts = sorted({0, *(c for r in refs for c in r.cuts()), *(c for s in desc.segments for c in s[:2])})
+    ends = [*cuts[1:], cuts[-1] + L]
+    return all(desc.member(n) == expected(n) for lo, hi in zip(cuts, ends) for n in range(lo, min(hi, lo + L)))
+
+
+def probes(refs):
+    """Points on both sides of every cut, where a wrong segment shows first."""
+    return sorted({max(c + d, 0) for r in refs for c in r.cuts() for d in (-2, -1, 0, 1)} | {0, 1})
+
+
+class FlipRef:
+    """The constructor's own rule, point by point: the tail, flipped once by
+    every flip run that covers n with its residue set, then `plus` made
+    members and `minus` (but not `plus`) non-members."""
+
+    def __init__(self, m, tail, flips, plus, minus):
+        self.m, self.tail, self.flips, self.plus, self.minus = m, tail, flips, plus, minus
+
+    def __call__(self, n):
+        if n in self.plus:
+            return True
+        if n in self.minus:
+            return False
+        inside = n % self.m in self.tail
+        for start, stop, p, mask in self.flips:
+            if start <= n < stop and mask >> n % p & 1:
+                inside = not inside
+        return inside
+
+    def periods(self):
+        return [self.m, *(p for _, _, p, _ in self.flips)]
+
+    def cuts(self):
+        return [x for start, stop, _, _ in self.flips for x in (start, stop)] + [
+            x for n in self.plus | self.minus for x in (n, n + 1)
+        ]
+
+
+@st.composite
+def flip_references(draw):
+    reach = draw(st.sampled_from([40, 10**6]))
+    m = draw(st.integers(1, 6))
+    flips = []
+    for _ in range(draw(st.integers(0, 4))):
+        start, stop = sorted(draw(st.lists(st.integers(0, reach), min_size=2, max_size=2)))
+        p = draw(st.integers(1, 6))
+        flips.append((start, stop, p, draw(st.integers(0, (1 << p) - 1))))
+    points = st.sets(st.integers(0, reach), max_size=3)
+    return FlipRef(m, draw(st.sets(st.integers(0, m - 1))), flips, draw(points), draw(points))
+
+
+class TestSegmentsAgainstReference:
+    @given(flip_references())
+    def test_overlapping_flips_and_points(self, a):
+        s = SetDescriptor(a.m, a.tail, plus=a.plus, minus=a.minus, flips=a.flips)
+        assert pieces_agree(s, a, [a])
+
+    @given(references())
+    def test_descriptor_and_member(self, a):
+        s = a.descriptor()
+        assert pieces_agree(s, a, [a])
+        assert all(s.member(n) == a(n) for n in probes([a]))
+
+    @given(references())
+    def test_canonical_form(self, a):
+        s = a.descriptor()
+        for (start, stop, _, _), (after, _, _, _) in zip(s.segments, s.segments[1:]):
+            assert stop <= after
+        tail = SetDescriptor(s.modulus, s.residues)
+        for start, stop, p, pattern in s.segments:
+            assert start < stop and 0 <= pattern < 1 << p
+            # each segment begins and ends where the set leaves its tail
+            assert s.member(start) != tail.member(start)
+            assert s.member(stop - 1) != tail.member(stop - 1)
+        assert SetDescriptor(s.modulus, s.residues).modulus == s.modulus
+
+    @given(references(), references())
+    def test_union_intersect_complement(self, a, b):
+        sa, sb = a.descriptor(), b.descriptor()
+        assert pieces_agree(sa.union(sb), lambda n: a(n) or b(n), [a, b])
+        assert pieces_agree(sa.intersect(sb), lambda n: a(n) and b(n), [a, b])
+        assert pieces_agree(sa.complement(), lambda n: not a(n), [a])
+
+    @given(references(), references())
+    def test_superset_and_equality(self, a, b):
+        sa, sb = a.descriptor(), b.descriptor()
+        refs = [a, b]
+        L = lcm(*(p for r in refs for p in r.periods()))
+        cuts = sorted({0, *a.cuts(), *b.cuts()})
+        points = [n for lo, hi in zip(cuts, [*cuts[1:], cuts[-1] + L]) for n in range(lo, min(hi, lo + L))]
+        assert sa.superset_of(sb) == all(a(n) or not b(n) for n in points)
+        assert (sa == sb) == all(a(n) == b(n) for n in points)
+        if sa == sb:
+            assert hash(sa) == hash(sb)
+
+    def test_equal_sets_cut_differently(self):
+        run = SetDescriptor(1, flips=[(5, 8, 2, 0b10)])  # the odd points of [5, 8)
+        points = SetDescriptor.finite({5, 7})
+        assert run.segments != points.segments
+        assert run == points and hash(run) == hash(points)
+        assert run != SetDescriptor.finite({5}) and run != SetDescriptor.finite({5, 6, 7})
+
+    @given(references(), references())
+    def test_filter_contains(self, a, b):
+        sa, sb = a.descriptor(), b.descriptor()
+        L = lcm(*a.periods())
+        assert FilterDescriptor.frechet().contains(sa) == all(a(n) for n in range(10**6 + 1, 10**6 + 1 + L))
+        if not sb.is_empty():
+            assert FilterDescriptor.principal(sb).contains(sa) == sa.superset_of(sb)
+
+    def test_far_segments_cost_no_points(self):
+        """A run of a million points is one segment, and every operation on it
+        answers without listing them."""
+        run = SetDescriptor(1, flips=[(10**6, 10**12, 1, 1)])
+        assert run.segments == ((10**6, 10**12, 1, 1),)
+        evens = SetDescriptor.evens()
+        both = run.intersect(evens)
+        assert both.segments == ((10**6, 10**12 - 1, 2, 1),)
+        assert both.member(10**9) and not both.member(10**9 + 1) and not both.member(10**12)
+        assert run.union(evens).complement().segments == ((10**6 + 1, 10**12, 1, 0),)
+        assert evens.superset_of(both) and not evens.superset_of(run)
+        assert FilterDescriptor.principal(both).contains(run)
+        assert not FilterDescriptor.frechet().contains(run.complement().intersect(evens))
+        assert run.sample(2) == [10**6, 10**6 + 1]
+
+
+@given(st.integers(1, 60), st.data())
+def test_minimal_period_matches_brute_force(m, data):
+    d = data.draw(st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))
+    block = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    pattern = block * (m // d)
+    brute = next(k for k in range(1, m + 1) if m % k == 0 and pattern == pattern[:k] * (m // k))
+    assert minimal_period(m, lambda k: pattern == pattern[:k] * (m // k)) == brute

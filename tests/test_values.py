@@ -19,7 +19,7 @@ VALUES = [
     (RatFun, lambda: RatFun(Poly([1, 1]), Poly([2, 2])), lambda: RatFun.constant(rat(1, 2)), "num", True),
     (ExtendedRat, lambda: ExtendedRat.finite(rat(2, 6)), lambda: ExtendedRat(0, rat(1, 3)), "value", True),
     (SetDescriptor, lambda: SetDescriptor(4, (0, 2), plus=[3]), lambda: SetDescriptor.evens().union(
-        SetDescriptor.finite({3})), "plus", True),
+        SetDescriptor.finite({3})), "segments", True),
     (FilterDescriptor, lambda: FilterDescriptor.principal(SetDescriptor.evens()),
      lambda: FilterDescriptor("principal", SetDescriptor(4, (0, 2))), "base", True),
     (RSeq, lambda: RSeq(2, [Poly([0, 1]), Poly([0, 1])], {0: 5, 1: 1}),
