@@ -6,13 +6,18 @@ order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
 meaningful.  The asymptotic helpers (limit at infinity, sign breaks from
 Sturm root isolation, eventual sign, nonnegative integer roots) are the
-analysis primitives every other module leans on.
+analysis primitives every other module leans on.  Root isolation clears
+denominators once and then works over Z: its squarefree part and Sturm
+chain come from a primitive pseudo-remainder sequence, and it evaluates
+integer polynomials at integer points, while `Poly` and `RatFun` keep
+their Fraction coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ZeroDenominator, ZeroPolynomial
 
@@ -134,9 +139,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(1 / self.lead)
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def shift_arg(self, k: int) -> "Poly":
         """The polynomial p(n + k)."""
@@ -294,38 +296,118 @@ class RatFun:
         return f"RatFun({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-def root_bound(p: Poly) -> int:
-    """Integer strictly greater than every real root of p (Cauchy bound)."""
-    if p.degree <= 0:
-        return 0
-    lead = abs(p.lead)
-    biggest = max(abs(c) for c in p.coeffs[:-1])
-    bound = 1 + biggest / lead
-    return int(bound) + 1
+# Root isolation runs on integer coefficient lists, ascending like Poly's.
+# Only the signs and zeros of a polynomial matter here, and both survive
+# scaling by a positive integer, so every list is kept primitive.
 
 
-def _squarefree(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p // g
+def _primitive(cs: list[int]) -> list[int]:
+    """cs divided by its positive content (the gcd of its coefficients)."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
+def _integer_form(p: Poly) -> list[int]:
+    """p times the positive rational that makes it a primitive integer polynomial."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (scale // c.denominator) for c in p.coeffs])
+
+
+def _horner(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of -(a % b), primitive; [] when b divides a.
+
+    Pseudo-division: each step scales the running remainder by |lc(b)|
+    before it cancels the top term, so the remainder ends as
+    |lc(b)|^k (a % b) for the k <= deg a - deg b + 1 steps taken, a
+    positive multiple of a % b.
+    """
+    r = list(a)
+    d, lead = len(b) - 1, b[-1]
+    scale = abs(lead)
+    while len(r) > d:
+        c = r[-1]
+        if c:
+            c = c if lead > 0 else -c
+            k = len(r) - 1 - d
+            r = [x * scale for x in r]
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return _primitive([-x for x in r]) if r else r
+
+
+def _remainder_sequence(cs: list[int]) -> list[list[int]]:
+    """p, p', then each next term a positive multiple of -(prev2 % prev1).
+
+    The last term is gcd(p, p') up to a constant factor; when it is a
+    constant, p is squarefree and the sequence is p's Sturm chain.
+    """
+    chain = [cs, _primitive([i * c for i, c in enumerate(cs) if i > 0])]
+    while len(chain[-1]) > 1:
+        r = _negated_remainder(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
     return chain
 
 
-def _variations(chain: list[Poly], x) -> int:
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b, for a primitive b that divides a over Q.
+
+    By Gauss's lemma the quotient has integer coefficients, so each step
+    divides exactly.
+    """
+    r = list(a)
+    d = len(b) - 1
+    q = [0] * (len(a) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + d] // b[-1]
+        if c:
+            for i, x in enumerate(b):
+                r[k + i] -= c * x
+    return q
+
+
+def _sturm_chain(cs: list[int]) -> list[list[int]]:
+    """The Sturm chain of the squarefree part of cs, a nonconstant integer form.
+
+    The squarefree part is cs divided by gcd(cs, cs'), and it has the same
+    real roots as cs, each once.
+    """
+    chain = _remainder_sequence(cs)
+    if len(chain[-1]) > 1:
+        chain = _remainder_sequence(_exact_quotient(cs, chain[-1]))
+    return chain
+
+
+def root_bound(p: Poly | list[int]) -> int:
+    """Integer strictly greater than every real root of p (Cauchy bound).
+
+    p is a Poly or its integer form; scaling p does not move the bound.
+    """
+    cs = _integer_form(p) if isinstance(p, Poly) else p
+    if len(cs) <= 1:
+        return 0
+    return max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 2
+
+
+def _variations(chain: list[list[int]], x: int) -> int:
     count = 0
     prev = 0
-    for q in chain:
-        s = _sign(q(x))
-        if s != 0:
-            if prev != 0 and s != prev:
+    for cs in chain:
+        v = _horner(cs, x)
+        if v:
+            s = 1 if v > 0 else -1
+            if s == -prev:
                 count += 1
             prev = s
     return count
@@ -339,15 +421,17 @@ def root_breaks(p: Poly) -> list[int]:
     and after the last one, p has one nonzero sign.  Roots are isolated by
     Sturm-chain bisection of the squarefree part over (-1, Cauchy bound],
     so the work grows with the number of roots times the logarithm of the
-    bound, not with the size of the roots.
+    bound, not with the size of the roots.  All of it runs on p's integer
+    form, not on its Fraction coefficients: the chain is a primitive
+    pseudo-remainder sequence over Z, and each bisection step evaluates it
+    by integer Horner at an integer point.
     """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial vanishes everywhere")
     if p.degree == 0:
         return []
-    sf = _squarefree(p)
-    chain = _sturm_chain(sf)
-    hi = root_bound(sf)
+    chain = _sturm_chain(_integer_form(p))
+    hi = root_bound(chain[0])
     breaks: list[int] = []
     # Root count in (lo, hi] is variations(lo) - variations(hi).
     stack = [(-1, hi, _variations(chain, -1), _variations(chain, hi))]
@@ -371,7 +455,9 @@ def integer_roots_nonneg(p: Poly) -> frozenset[int]:
     Every natural root c is a root break (a root lies in (c - 1, c]), so
     these are the breaks of `root_breaks` where p itself vanishes.
     """
-    return frozenset(c for c in root_breaks(p) if p(c) == 0)
+    breaks = root_breaks(p)
+    cs = _integer_form(p)
+    return frozenset(c for c in breaks if _horner(cs, c) == 0)
 
 
 def sign_breaks(f: RatFun) -> list[int]:

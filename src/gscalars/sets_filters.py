@@ -476,7 +476,8 @@ def check_filter_axioms(f: FilterDescriptor, samples: list[SetDescriptor]) -> Re
     report.check("empty-set-excluded", not f.contains(SetDescriptor.empty()))
     report.check("family-nonempty", f.contains(SetDescriptor.naturals()))
 
-    members = [s for s in samples if f.contains(s)]
+    decided = [f.contains(s) for s in samples]
+    members = [s for s, inside in zip(samples, decided) if inside]
     bad_meets = []
     for i, j in enumerate(members):
         for k in members[i:]:
@@ -491,10 +492,10 @@ def check_filter_axioms(f: FilterDescriptor, samples: list[SetDescriptor]) -> Re
     bad_ups = []
     ups = 0
     for j in members:
-        for k in samples:
+        for k, inside in zip(samples, decided):
             if k.superset_of(j):
                 ups += 1
-                if not f.contains(k):
+                if not inside:
                     bad_ups.append((j, k))
     report.check(
         f"superset-closure ({ups} comparable pairs)",

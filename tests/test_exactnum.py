@@ -3,8 +3,9 @@ from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
-from scan import horner, integer_coeffs
+from scan import horner, integer_coeffs, root_free_beyond
 
+from gscalars import exactnum
 from gscalars.errors import ZeroDenominator, ZeroPolynomial
 from gscalars.exactnum import (
     MINUS_INFINITY,
@@ -26,8 +27,10 @@ from gscalars.exactnum import (
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 far_rats = st.fractions(min_value=-(10**5), max_value=10**5, max_denominator=7)
+fine_rats = st.fractions(min_value=-60, max_value=60, max_denominator=10**3)
 # n^2 + c with c > 0: a factor without real roots.
 no_real_root_shifts = st.fractions(min_value=Fraction(1, 20), max_value=50, max_denominator=20)
+leads = st.fractions(min_value=-20, max_value=20, max_denominator=50).filter(bool)
 
 
 def poly_from(coeffs):
@@ -46,6 +49,23 @@ def poly_with_roots(roots, shifts=(), lead=1):
     for c in shifts:
         p = p * poly_from([c, 0, 1])
     return p
+
+
+@st.composite
+def factored_polys(draw, roots=st.one_of(small_rats, far_rats, fine_rats)):
+    """(real roots with multiplicity, their polynomial) of degree at most 8.
+
+    Each drawn root gets multiplicity 1 to 3, and the leading coefficient
+    may be negative or fractional.
+    """
+    shifts = draw(st.lists(no_real_root_shifts, max_size=2))
+    degree = 2 * len(shifts)
+    real = []
+    for r in draw(st.lists(roots, max_size=6)):
+        k = min(draw(st.integers(1, 3)), 8 - degree)
+        real += [r] * k
+        degree += k
+    return real, poly_with_roots(real, shifts, draw(leads))
 
 
 class TestRatField:
@@ -168,18 +188,38 @@ class TestRootBreaks:
         with pytest.raises(ZeroPolynomial):
             root_breaks(Poly())
 
-    @given(
-        st.lists(st.one_of(small_rats, far_rats), min_size=1, max_size=4),
-        st.lists(no_real_root_shifts, max_size=2),
-        st.sampled_from([1, -3, rat(2, 7)]),
-        st.booleans(),
-    )
-    def test_breaks_bracket_every_root(self, roots, shifts, lead, double):
-        if double:
-            roots = roots + roots[:1]
-        breaks = root_breaks(poly_with_roots(roots, shifts, lead))
+    @given(factored_polys())
+    def test_breaks_bracket_every_root(self, case):
+        roots, p = case
         # c is a break exactly when some real root lies in (c - 1, c].
-        assert breaks == sorted({ceil(x) for x in roots if x > -1})
+        assert root_breaks(p) == sorted({ceil(x) for x in roots if x > -1})
+
+    @given(factored_polys(st.one_of(small_rats, fine_rats)))
+    def test_breaks_match_window_scan(self, case):
+        _, p = case
+        breaks = set(root_breaks(p))
+        top = root_free_beyond([p])  # no real root above it, so no break either
+        assert breaks <= set(range(top + 1))
+        (coeffs,) = integer_coeffs(p)
+        values = [horner(coeffs, n) for n in range(top + 2)]
+        assert integer_roots_nonneg(p) == {n for n, v in enumerate(values) if v == 0}
+        for c, v in enumerate(values):
+            if c in breaks:
+                continue
+            # No root in (c - 1, c]: p(c) is nonzero and p keeps its sign from c - 1.
+            assert v != 0
+            assert c == 0 or values[c - 1] * v >= 0
+
+    def test_no_fraction_polynomial_work(self, monkeypatch):
+        # 2/3 (n - 3/2)^2 (n - 7) (n^2 + 1/5): degree 5, rational coefficients, a double root.
+        p = poly_with_roots([rat(3, 2), rat(3, 2), 7], [rat(1, 5)], rat(2, 3))
+        calls = []
+        evaluate, gcd = Poly.__call__, exactnum.poly_gcd
+        monkeypatch.setattr(Poly, "__call__", lambda self, x: calls.append("eval") or evaluate(self, x))
+        monkeypatch.setattr(exactnum, "poly_gcd", lambda a, b: calls.append("gcd") or gcd(a, b))
+        assert root_breaks(p) == [2, 7]
+        assert integer_roots_nonneg(p) == frozenset({7})
+        assert calls == []
 
     @given(
         st.lists(st.one_of(small_rats, far_rats), max_size=3),

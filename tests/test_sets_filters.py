@@ -174,6 +174,20 @@ class TestFilterAxiomsReport:
         report = check_filter_axioms(f, self._random_family(11, 50))
         assert report.ok, report.render()
 
+    @pytest.mark.parametrize("principal", [False, True])
+    def test_decides_each_sample_once(self, monkeypatch, principal):
+        f = FilterDescriptor.principal(SetDescriptor.finite({2, 4})) if principal else FilterDescriptor.frechet()
+        samples = self._random_family(13, 50)
+        members = sum(f.contains(s) for s in samples)
+        calls = []
+        contains = FilterDescriptor.contains
+        monkeypatch.setattr(FilterDescriptor, "contains", lambda self, s: calls.append(s) or contains(self, s))
+        report = check_filter_axioms(f, samples)
+        assert report.ok, report.render()
+        # The two fixed axioms, one decision per sample, one per member pair's
+        # meet; the superset-closure loop reuses the samples' decisions.
+        assert len(calls) == 2 + len(samples) + members * (members + 1) // 2
+
     def test_report_lines_shape(self):
         report = check_filter_axioms(FilterDescriptor.frechet(), [SetDescriptor.naturals()])
         text = report.render()
