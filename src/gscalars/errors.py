@@ -80,3 +80,8 @@ class ConfigTooLarge(Error):
 
 class NestingTooDeep(Error):
     """An expression nests deeper than `expr.MAX_DEPTH` levels."""
+
+
+class ModulusTooLarge(Error):
+    """A sequence would need more than `seqrep.MAX_MODULUS` residue-class
+    branches."""

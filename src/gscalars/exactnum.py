@@ -6,11 +6,11 @@ order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
 meaningful.  The asymptotic helpers (limit at infinity, sign breaks from
 Sturm root isolation, eventual sign, nonnegative integer roots) are the
-analysis primitives every other module leans on.  Root isolation clears
-denominators once and then works over Z: its squarefree part and Sturm
-chain come from a primitive pseudo-remainder sequence, and it evaluates
-integer polynomials at integer points, while `Poly` and `RatFun` keep
-their Fraction coefficients.
+analysis primitives every other module leans on.  Gcds and root isolation
+clear denominators once and then work over Z, while `Poly` and `RatFun`
+keep their Fraction coefficients: `poly_gcd`, the squarefree part and the
+Sturm chain all come from one primitive pseudo-remainder sequence, and
+root isolation evaluates integer polynomials at integer points.
 """
 
 from __future__ import annotations
@@ -129,9 +129,6 @@ class Poly:
                 rem[k + i] -= f * c
         return Poly(q), Poly(rem)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
@@ -149,13 +146,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * step + Poly.constant(c)
         return acc
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q[n]; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, (a % b).monic()  # re-monic keeps coefficient growth in check
-    return a.monic()
 
 
 def poly_interpolate(points: list[tuple[int, Rat]]) -> Poly:
@@ -296,9 +286,10 @@ class RatFun:
         return f"RatFun({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-# Root isolation runs on integer coefficient lists, ascending like Poly's.
-# Only the signs and zeros of a polynomial matter here, and both survive
-# scaling by a positive integer, so every list is kept primitive.
+# Gcds and root isolation run on integer coefficient lists, ascending like
+# Poly's.  Only the divisors, signs and zeros of a polynomial matter here,
+# and all of them survive scaling by a positive integer, so every list is
+# kept primitive.
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -345,19 +336,32 @@ def _negated_remainder(a: list[int], b: list[int]) -> list[int]:
     return _primitive([-x for x in r]) if r else r
 
 
-def _remainder_sequence(cs: list[int]) -> list[list[int]]:
-    """p, p', then each next term a positive multiple of -(prev2 % prev1).
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """a, b, then each next term a positive multiple of -(prev2 % prev1).
 
-    The last term is gcd(p, p') up to a constant factor; when it is a
-    constant, p is squarefree and the sequence is p's Sturm chain.
+    The primitive pseudo-remainder sequence of a and b, for a nonzero b:
+    its last term is gcd(a, b) up to a constant factor, and a constant
+    when a and b are coprime.
     """
-    chain = [cs, _primitive([i * c for i, c in enumerate(cs) if i > 0])]
+    chain = [a, b]
     while len(chain[-1]) > 1:
         r = _negated_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(r)
     return chain
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd over Q[n]; gcd(0, 0) = 0.
+
+    The monic gcd over Q is unique, so it is the last term of the primitive
+    pseudo-remainder sequence of the integer forms of a and b, made monic.
+    """
+    if b.is_zero():
+        return a.monic()
+    g = _remainder_sequence(_integer_form(a), _integer_form(b))[-1]
+    return Poly(g).monic() if len(g) > 1 else Poly.constant(1)
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -377,15 +381,21 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _derivative(cs: list[int]) -> list[int]:
+    return _primitive([i * c for i, c in enumerate(cs) if i > 0])
+
+
 def _sturm_chain(cs: list[int]) -> list[list[int]]:
     """The Sturm chain of the squarefree part of cs, a nonconstant integer form.
 
     The squarefree part is cs divided by gcd(cs, cs'), and it has the same
-    real roots as cs, each once.
+    real roots as cs, each once.  When cs is squarefree, the remainder
+    sequence of cs and cs' already is its Sturm chain.
     """
-    chain = _remainder_sequence(cs)
+    chain = _remainder_sequence(cs, _derivative(cs))
     if len(chain[-1]) > 1:
-        chain = _remainder_sequence(_exact_quotient(cs, chain[-1]))
+        cs = _exact_quotient(cs, chain[-1])
+        chain = _remainder_sequence(cs, _derivative(cs))
     return chain
 
 

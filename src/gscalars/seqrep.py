@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import MissingException, NotConvergent, UnboundedSequence
+from .errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
 from .exactnum import (
     Rat,
     RatFun,
@@ -23,6 +23,15 @@ from .exactnum import (
     sign_breaks,
 )
 from .sets_filters import SetDescriptor, minimal_period
+
+# A sequence keeps one branch per residue class, so its modulus is capped
+# before any branch list is built.
+MAX_MODULUS = 10**5
+
+
+def _check_modulus(m: int) -> None:
+    if m > MAX_MODULUS:
+        raise ModulusTooLarge(f"modulus {m} is above the limit of {MAX_MODULUS}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +79,7 @@ class RSeq:
     exceptions: dict[int, Rat]
 
     def __init__(self, modulus: int, branches, exceptions=None):
+        _check_modulus(modulus)
         branches = tuple(b if isinstance(b, RatFun) else RatFun(b) for b in branches)
         if modulus < 1 or len(branches) != modulus:
             raise ValueError("need one branch per residue class")
@@ -120,6 +130,7 @@ class RSeq:
 
     def _merge(self, other: "RSeq", fun_op, val_op) -> "RSeq":
         m = lcm(self.modulus, other.modulus)
+        _check_modulus(m)
         branches = [
             fun_op(self.branches[r % self.modulus], other.branches[r % other.modulus])
             for r in range(m)
@@ -258,8 +269,11 @@ def make_identity() -> RSeq:
 
 def indicator(s: SetDescriptor) -> RSeq:
     """The 0/1 characteristic sequence of a set descriptor."""
+    _check_modulus(s.modulus)
     one, zero = RatFun.constant(1), RatFun.constant(0)
-    branches = [one if r in s.residues else zero for r in range(s.modulus)]
+    # Character r of the reversed binary tail is bit r: one pass over the bits.
+    tail = f"{s.tail:0{s.modulus}b}"[::-1]
+    branches = [one if bit == "1" else zero for bit in tail]
     exceptions = {n: Fraction(1) for n in s.plus}
     exceptions.update({n: Fraction(0) for n in s.minus})
     return RSeq(s.modulus, branches, exceptions)

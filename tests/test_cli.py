@@ -263,6 +263,13 @@ class TestErrorDetail:
         assert captured.out == "error: NotStandardizable\n"
         assert "an infinite branch blocks the standard part" in captured.err
 
+    @pytest.mark.parametrize("expression", ["ind(0 mod 1000000)", "ind(0 mod 9973) * ind(0 mod 9967)"])
+    def test_modulus_above_the_limit(self, capsys, expression):
+        assert main(["eval", expression]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "error: ModulusTooLarge\n"
+        assert "above the limit of 100000" in captured.err
+
 
 class TestDeterminism:
     def _spawn(self, *args, seed="4242"):

@@ -129,11 +129,72 @@ class TestPoly:
         b = poly_from([-3, 1]) * poly_from([2, 1])
         assert poly_gcd(a, b) == poly_from([-3, 1])
         assert poly_gcd(poly_from([]), poly_from([])).is_zero()
+        assert poly_gcd(poly_from([]), b * Poly.constant(-2)) == b
+        assert poly_gcd(a, poly_from([]).scale(3)) == a
+        assert poly_gcd(a, poly_from([rat(-2, 7)])) == Poly.constant(1)
+        assert poly_gcd(poly_from([]), poly_from([5])) == Poly.constant(1)
 
     def test_interpolation_roundtrip(self):
         p = poly_from([rat(1, 2), -2, 0, rat(3, 7)])
         pts = [(n, p(n)) for n in range(4)]
         assert poly_interpolate(pts) == p
+
+
+def fraction_gcd(a: Poly, b: Poly) -> Poly:
+    """Reference: the monic gcd by Euclid's algorithm in Fraction arithmetic."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1].monic()
+    return a.monic()
+
+
+gcd_coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=10**3)
+
+
+@st.composite
+def gcd_polys(draw, max_degree):
+    """A polynomial of degree at most max_degree with denominators up to
+    10^3 and a nonzero, possibly negative, leading coefficient."""
+    lower = draw(st.lists(gcd_coeffs, max_size=max_degree))
+    return poly_from([*lower, draw(gcd_coeffs.filter(bool))])
+
+
+@st.composite
+def planted_gcd_cases(draw):
+    """(a, b, c): a*c and b*c have degree at most 10, c at most 4."""
+    c = draw(gcd_polys(4))
+    a = draw(gcd_polys(10 - c.degree))
+    b = draw(gcd_polys(10 - c.degree))
+    return a, b, c
+
+
+class TestGcd:
+    """poly_gcd runs a primitive pseudo-remainder sequence over Z; the monic
+    gcd over Q is unique, so it must equal the Fraction Euclid's."""
+
+    @given(planted_gcd_cases())
+    def test_planted_factor_matches_fraction_euclid(self, case):
+        a, b, c = case
+        expected = fraction_gcd(a * c, b * c)
+        assert poly_gcd(a * c, b * c) == expected
+        assert poly_gcd(b * c, a * c) == expected
+        assert poly_gcd(a * c, -b) == fraction_gcd(a * c, -b)
+        assert divmod(expected, c.monic())[1].is_zero()
+
+    @given(planted_gcd_cases())
+    def test_canonical_form_cancels_planted_factor(self, case):
+        a, b, c = case
+        assert RatFun(a * c, b * c) == RatFun(a, b)
+
+    def test_no_fraction_division(self, monkeypatch):
+        """The gcd divides no Fraction polynomials."""
+        calls = []
+        divide = Poly.__divmod__
+        monkeypatch.setattr(Poly, "__divmod__", lambda p, q: calls.append(1) or divide(p, q))
+        a = poly_from([-3, 1]) * poly_from([rat(1, 3), 0, rat(-5, 2)])
+        b = poly_from([-3, 1]) * poly_from([rat(7, 4), -2])
+        assert poly_gcd(a, b) == poly_from([-3, 1])
+        assert poly_gcd(a * a, a * b) == (a * poly_from([-3, 1])).monic()
+        assert calls == []
 
 
 class TestIntegerRoots:

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from scan import horner, int_branches, root_free_beyond
 
-from gscalars.errors import MissingException, NotConvergent, UnboundedSequence
+from gscalars.errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
 from gscalars.exactnum import Poly, RatFun, rat
 from gscalars.sampling import random_convergent_rseq, random_rat, random_rseq
-from gscalars.seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
+from gscalars.seqrep import MAX_MODULUS, BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import SetDescriptor
 
 WINDOW = 120
@@ -54,6 +54,31 @@ class TestConstructors:
             x = indicator(s)
             for n in range(60):
                 assert x.eval(n) == (1 if s.member(n) else 0)
+
+    def test_indicator_reads_the_residues_once(self, monkeypatch):
+        """The tail is read once, not once per residue class."""
+        reads = 0
+        residues = SetDescriptor.residues
+
+        def counting(s):
+            nonlocal reads
+            reads += 1
+            return residues.fget(s)
+
+        monkeypatch.setattr(SetDescriptor, "residues", property(counting))
+        x = indicator(SetDescriptor(60, residues=(0, 7, 59), plus={1}, minus={7}))
+        assert reads <= 1
+        assert x.prefix(130) == [int(n == 1 or (n % 60 in (0, 7, 59) and n != 7)) for n in range(130)]
+
+    def test_modulus_limit(self):
+        at_limit = SetDescriptor.residue_class(0, MAX_MODULUS)
+        assert indicator(at_limit).modulus == MAX_MODULUS
+        with pytest.raises(ModulusTooLarge):
+            indicator(SetDescriptor.residue_class(0, MAX_MODULUS + 1))
+        with pytest.raises(ModulusTooLarge):
+            RSeq(MAX_MODULUS + 1, [])
+        with pytest.raises(ModulusTooLarge):
+            indicator(SetDescriptor.residue_class(0, 9973)) * indicator(SetDescriptor.residue_class(0, 9967))
 
     def test_denominator_root_needs_exception(self):
         with pytest.raises(MissingException):
