@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from . import expr as expr_mod
-from .errors import Error, InvalidArgument, ZeroDivisor
+from .errors import Error, InvalidArgument, NumberTooLarge, ZeroDivisor
 from .oracle import FiniteConfig, run_oracle
 from .quotient import Scalar, classify, scalar_eq
 from .series import classify_series, generalized_sum
@@ -38,6 +39,8 @@ def render_value(value) -> str:
         return f"{expr_mod.render_rseq(value.rep)} [{classify(value)}]"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return expr_mod.number_text(value)
     return str(value)
 
 
@@ -127,15 +130,20 @@ def main(argv=None, out=None) -> int:
         elif args.command == "sum":
             [scalar] = expr_mod.evaluate_scalars([args.expression], filt)
             verdict = classify_series(scalar.rep)
-            value = generalized_sum(scalar.rep, filt)
-            print(f"verdict: {verdict!r}", file=out)
-            print(f"value: {render_value(value)}", file=out)
+            total = "" if verdict.value is None else f"({expr_mod.number_text(verdict.value)})"
+            value = render_value(generalized_sum(scalar.rep, filt))
+            print(f"verdict: {verdict.kind}{total}", file=out)
+            print(f"value: {value}", file=out)
         else:
             left, right = expr_mod.evaluate_scalars([args.left, args.right], filt)
             print("true" if scalar_eq(left, right) else "false", file=out)
         return 0
     except Error as err:
-        print(error_line(err), file=out)
+        try:
+            line = error_line(err)
+        except NumberTooLarge as big:  # a ZeroDivisor witness too large to print
+            line, err = error_line(big), big
+        print(line, file=out)
         if str(err):
             print(err, file=sys.stderr)
         return 1

@@ -83,5 +83,10 @@ class NestingTooDeep(Error):
 
 
 class ModulusTooLarge(Error):
-    """A sequence would need more than `seqrep.MAX_MODULUS` residue-class
-    branches."""
+    """A set or a sequence would need a modulus, or an lcm of moduli, above
+    `sets_filters.MAX_MODULUS`."""
+
+
+class NumberTooLarge(Error):
+    """A result holds an integer with more digits than the interpreter
+    converts to text (`sys.get_int_max_str_digits()`)."""

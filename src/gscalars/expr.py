@@ -6,8 +6,13 @@ shift/ind/sum/st/class/eq/le/invert/limit, and `e except {n: v, ...}` for
 declaring pointwise overrides.  Set expressions: `{3,5}`, `r mod m`,
 `evens`/`odds`, complement `~S`, `S|T`, `S&T`, and `cofinite~{...}` sugar.
 
+One regular expression splits the text into tokens.  An integer literal is
+a run of decimal digits (Unicode category Nd) no longer than the
+interpreter's int-to-text limit, `sys.get_int_max_str_digits()`.
+
 Rendering is canonical: parse(render(parse(text))) == parse(text), and a
-rendered value re-evaluates to the same class under every filter.
+rendered value re-evaluates to the same class under every filter.  Numbers
+past the int-to-text limit render as NumberTooLarge (`number_text`).
 
 Parsing refuses with NestingTooDeep, before anything is evaluated, an
 expression nested deeper than MAX_DEPTH levels.  Each parenthesis, call,
@@ -19,10 +24,12 @@ a loop.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Error, NestingTooDeep, TypeMismatch
+from .errors import Error, NestingTooDeep, NumberTooLarge, TypeMismatch
 from .exactnum import Poly, RatFun, integer_roots_nonneg
 from .quotient import (
     Scalar,
@@ -139,63 +146,30 @@ def _chain(node, ops) -> tuple:
     return node, links
 
 
-# -- tokenizer ------------------------------------------------------------------
+# -- tokenizer and parser -------------------------------------------------------
 
-_PUNCT = "+-*/(){},:|&~"
+# One token per match: a decimal literal (the digits int() reads), an
+# identifier, one punctuation character, or any other non-space character,
+# which is refused.  Whitespace between tokens matches nothing and is skipped.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<ident>[^\W\d]\w*)|(?P<punct>[-+*/(){},:|&~])|(?P<bad>\S)")
 
 
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # int ident punct end
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise SyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            if match.lastgroup == "bad":
+                self._fail(f"unexpected character {match[0]!r}", match.start())
+            self.tokens.append(_Token(match.lastgroup, match[0], match.start()))
+        self.tokens.append(_Token("end", "", len(text)))
         self.pos = 0
         self.depth = 1
 
@@ -218,32 +192,58 @@ class _Parser:
     def current(self) -> _Token:
         return self.tokens[self.pos]
 
-    def _fail(self, expected):
+    def _fail(self, message: str, offset: int, expected=()):
+        """Raise SyntaxError at `offset` into the text, as a line and a column counted from 1."""
+        line = self.text.count("\n", 0, offset) + 1
+        raise SyntaxError(message, line, offset - self.text.rfind("\n", 0, offset), expected)
+
+    def _unexpected(self, expected):
         tok = self.current
-        shown = tok.text or "end of input"
-        raise SyntaxError(f"unexpected {shown!r}", tok.line, tok.column, expected)
+        self._fail(f"unexpected {tok.text or 'end of input'!r}", tok.offset, expected)
 
     def _eat(self, kind: str, text: str | None = None) -> _Token:
         tok = self.current
         if tok.kind != kind or (text is not None and tok.text != text):
-            self._fail([text or kind])
+            self._unexpected([text or kind])
         self.pos += 1
         return tok
 
-    def _at_punct(self, text: str) -> bool:
-        return self.current.kind == "punct" and self.current.text == text
+    def _take(self, text: str) -> bool:
+        """Consume the next token when it is the punctuation or identifier `text`."""
+        if self.current.text == text:
+            self.pos += 1
+            return True
+        return False
 
-    def _at_ident(self, text: str) -> bool:
-        return self.current.kind == "ident" and self.current.text == text
+    def _int(self, zero: str | None = None) -> int:
+        """The next token as an integer literal.  A literal with more digits
+        than the interpreter converts is refused, and so is 0 when `zero`
+        gives the message."""
+        tok = self._eat("int")
+        limit = sys.get_int_max_str_digits()
+        if limit and len(tok.text) > limit:
+            self._fail(f"integer literal longer than {limit} digits", tok.offset)
+        value = int(tok.text)
+        if zero and not value:
+            self._fail(zero, tok.offset)
+        return value
+
+    def _binary(self, node_type, ops: str, operand):
+        """A left-associative chain `operand (op operand)*` over the
+        punctuation characters in `ops`, built as left-deep `node_type` nodes."""
+        node = operand()
+        while (tok := self.current).kind == "punct" and tok.text in ops:
+            self.pos += 1
+            node = node_type(tok.text, node, operand())
+        return node
 
     def _braces(self, item) -> list:
         """`{item, item, ...}`, possibly empty."""
         self._eat("punct", "{")
         items = []
-        if not self._at_punct("}"):
+        if self.current.text != "}":
             items.append(item())
-            while self._at_punct(","):
-                self._eat("punct", ",")
+            while self._take(","):
                 items.append(item())
         self._eat("punct", "}")
         return items
@@ -251,130 +251,87 @@ class _Parser:
     # scalar grammar -----------------------------------------------------------
 
     def parse_expr(self):
-        node = self._add_expr()
-        while self._at_ident("except"):
-            self._eat("ident", "except")
+        node = self._binary(BinOp, "+-", self._mul_expr)
+        while self._take("except"):
             node = Except(node, self._except_map())
         return node
 
-    def _add_expr(self):
-        node = self._mul_expr()
-        while self._at_punct("+") or self._at_punct("-"):
-            op = self._eat("punct").text
-            node = BinOp(op, node, self._mul_expr())
-        return node
-
     def _mul_expr(self):
-        node = self._unary()
-        while self._at_punct("*") or self._at_punct("/"):
-            op = self._eat("punct").text
-            node = BinOp(op, node, self._unary())
-        return node
+        return self._binary(BinOp, "*/", self._unary)
 
     def _unary(self):
-        if self._at_punct("-"):
-            self._eat("punct", "-")
+        if self._take("-"):
             return Neg(self._nested(self._unary))
         return self._atom()
 
     def _atom(self):
         tok = self.current
         if tok.kind == "int":
+            return Lit(self._int())
+        if self._take("n"):
+            return Var()
+        if self._take("ind"):
+            return Ind(self._nested(self.parse_set, enclosed=True))
+        if tok.text in CALLS:
             self.pos += 1
-            return Lit(int(tok.text))
+            self._eat("punct", "(")
+            args = [self._nested(self.parse_expr)]
+            for _ in range(1, CALLS[tok.text]):
+                self._eat("punct", ",")
+                args.append(self._nested(self.parse_expr))
+            self._eat("punct", ")")
+            return Call(tok.text, tuple(args))
         if tok.kind == "ident":
-            if tok.text == "n":
-                self.pos += 1
-                return Var()
-            if tok.text == "ind":
-                self.pos += 1
-                return Ind(self._nested(self.parse_set, enclosed=True))
-            if tok.text in CALLS:
-                self.pos += 1
-                self._eat("punct", "(")
-                args = [self._nested(self.parse_expr)]
-                for _ in range(1, CALLS[tok.text]):
-                    self._eat("punct", ",")
-                    args.append(self._nested(self.parse_expr))
-                self._eat("punct", ")")
-                return Call(tok.text, tuple(args))
-            self._fail(["n", "ind", *CALLS])
-        if self._at_punct("("):
+            self._unexpected(["n", "ind", *CALLS])
+        if self.current.text == "(":
             return self._nested(self.parse_expr, enclosed=True)
-        self._fail(["integer", "n", "function", "("])
+        self._unexpected(["integer", "n", "function", "("])
 
     def _except_map(self) -> tuple:
         return tuple(sorted(dict(self._braces(self._override)).items()))
 
     def _override(self) -> tuple:
-        key = int(self._eat("int").text)
+        key = self._int()
         self._eat("punct", ":")
         return key, self._signed_rat()
 
     def _signed_rat(self) -> Fraction:
-        negative = False
-        if self._at_punct("-"):
-            self._eat("punct", "-")
-            negative = True
-        num = int(self._eat("int").text)
-        den = 1
-        if self._at_punct("/"):
-            self._eat("punct", "/")
-            den_tok = self._eat("int")
-            den = int(den_tok.text)
-            if den == 0:
-                raise SyntaxError("zero denominator", den_tok.line, den_tok.column)
-        value = Fraction(num, den)
+        negative = self._take("-")
+        value = Fraction(self._int())
+        if self._take("/"):
+            value /= self._int(zero="zero denominator")
         return -value if negative else value
 
     # set grammar --------------------------------------------------------------
 
     def parse_set(self):
-        node = self._set_and()
-        while self._at_punct("|"):
-            self._eat("punct", "|")
-            node = SetBin("|", node, self._set_and())
-        return node
+        return self._binary(SetBin, "|", self._set_and)
 
     def _set_and(self):
-        node = self._set_atom()
-        while self._at_punct("&"):
-            self._eat("punct", "&")
-            node = SetBin("&", node, self._set_atom())
-        return node
+        return self._binary(SetBin, "&", self._set_atom)
 
     def _set_atom(self):
-        if self._at_punct("~"):
-            self._eat("punct", "~")
+        if self._take("~"):
             return SetNot(self._nested(self._set_atom))
-        if self._at_punct("{"):
+        if self.current.text == "{":
             return SetLit(self._int_braces())
-        if self._at_punct("("):
+        if self.current.text == "(":
             return self._nested(self.parse_set, enclosed=True)
-        tok = self.current
-        if tok.kind == "int":
-            self.pos += 1
+        if self.current.kind == "int":
+            residue = self._int()
             self._eat("ident", "mod")
-            mod_tok = self._eat("int")
-            modulus = int(mod_tok.text)
-            if modulus < 1:
-                raise SyntaxError("modulus must be positive", mod_tok.line, mod_tok.column)
-            return SetMod(int(tok.text), modulus)
-        if tok.kind == "ident":
-            if tok.text == "evens":
-                self.pos += 1
-                return SetMod(0, 2)
-            if tok.text == "odds":
-                self.pos += 1
-                return SetMod(1, 2)
-            if tok.text == "cofinite":
-                self.pos += 1
-                self._eat("punct", "~")
-                return SetNot(SetLit(self._int_braces()))
-        self._fail(["{", "~", "(", "residue mod modulus", "evens", "odds", "cofinite"])
+            return SetMod(residue, self._int(zero="modulus must be positive"))
+        if self._take("evens"):
+            return SetMod(0, 2)
+        if self._take("odds"):
+            return SetMod(1, 2)
+        if self._take("cofinite"):
+            self._eat("punct", "~")
+            return SetNot(SetLit(self._int_braces()))
+        self._unexpected(["{", "~", "(", "residue mod modulus", "evens", "odds", "cofinite"])
 
     def _int_braces(self) -> tuple:
-        return tuple(sorted(set(self._braces(lambda: int(self._eat("int").text)))))
+        return tuple(sorted(set(self._braces(self._int))))
 
 
 def _parse_all(text: str, rule):
@@ -394,6 +351,19 @@ def parse_set(text: str):
 
 # -- rendering -------------------------------------------------------------------
 
+
+def number_text(q: int | Fraction) -> str:
+    """An integer or a rational as text.  Every number the CLI prints goes
+    through here, so a numerator or denominator with more digits than the
+    interpreter converts to text raises NumberTooLarge."""
+    limit = sys.get_int_max_str_digits()
+    part = max(abs(q.numerator), q.denominator)
+    # 10**limit has more than 3 * limit bits: the bit count clears most numbers cheaply.
+    if limit and part.bit_length() > 3 * limit and part >= 10**limit:
+        raise NumberTooLarge(f"a number in the result has more than {limit} digits")
+    return str(q)
+
+
 _EXCEPT, _ADD, _MUL, _UNARY, _ATOM = range(5)
 
 
@@ -408,7 +378,7 @@ def render(node, parent_level: int = 0) -> str:
 
 def _render(node) -> tuple[str, int]:
     if isinstance(node, Lit):
-        return str(node.value), _ATOM
+        return number_text(node.value), _ATOM
     if isinstance(node, Var):
         return "n", _ATOM
     if isinstance(node, Neg):
@@ -425,7 +395,8 @@ def _render(node) -> tuple[str, int]:
     if isinstance(node, Except):
         head, links = _chain(node, ("except",))
         maps = "".join(
-            " except {" + ", ".join(f"{k}: {v}" for k, v in link.overrides) + "}" for link in links
+            " except {" + ", ".join(f"{number_text(k)}: {number_text(v)}" for k, v in link.overrides) + "}"
+            for link in links
         )
         return render(head, _ADD) + maps, _EXCEPT
     raise TypeError(f"not an expression node: {node!r}")
@@ -440,7 +411,7 @@ def render_set(node, parent_level: int = 0) -> str:
 
 def _render_set(node) -> tuple[str, int]:
     if isinstance(node, SetLit):
-        return "{" + ",".join(str(n) for n in node.elements) + "}", _SET_ATOM
+        return "{" + ",".join(map(number_text, node.elements)) + "}", _SET_ATOM
     if isinstance(node, SetMod):
         return f"{node.residue} mod {node.modulus}", _SET_ATOM
     if isinstance(node, SetNot):

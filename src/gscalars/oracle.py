@@ -196,9 +196,9 @@ def vanishing_set(ideal: FiniteIdeal, cfg: FiniteConfig) -> int:
     return mask
 
 
-def verify_galois(cfg: FiniteConfig) -> Report:
+def verify_galois(cfg: FiniteConfig, ideals: list[FiniteIdeal]) -> Report:
+    """The ideal/filter correspondence checks over `ideals`, which is `enumerate_ideals(cfg)`."""
     report = Report(f"oracle-galois lambda={cfg.lambda_size} field={cfg.field_order}")
-    ideals = enumerate_ideals(cfg)
     filters = enumerate_filters(cfg)
     expected = 2**cfg.lambda_size - 1
     report.check(f"ideal count = {expected}", len(ideals) == expected, witness=str(len(ideals)))
@@ -259,11 +259,11 @@ def _quotient_table(ideal: FiniteIdeal, cfg: FiniteConfig):
     return rep_of, reps
 
 
-def verify_maximal_prime(cfg: FiniteConfig) -> Report:
+def verify_maximal_prime(cfg: FiniteConfig, ideals: list[FiniteIdeal]) -> Report:
+    """The maximal/prime/quotient checks over `ideals`, which is `enumerate_ideals(cfg)`."""
     report = Report(f"oracle-maximal-prime lambda={cfg.lambda_size} field={cfg.field_order}")
     p = cfg.field_order
     ring = ring_elements(cfg)
-    ideals = enumerate_ideals(cfg)
     zero = (0,) * cfg.lambda_size
 
     for idx, ideal in enumerate(ideals):
@@ -310,11 +310,10 @@ def verify_maximal_prime(cfg: FiniteConfig) -> Report:
 
 
 def run_oracle(cfg: FiniteConfig, which: str = "all") -> list[Report]:
-    reports = []
-    if which in ("galois", "all"):
-        reports.append(verify_galois(cfg))
-    if which in ("maximal-prime", "all"):
-        reports.append(verify_maximal_prime(cfg))
-    if not reports:
+    """The reports of the `which` checks, over one enumeration of the ideals."""
+    checks = {"galois": [verify_galois], "maximal-prime": [verify_maximal_prime]}
+    checks["all"] = checks["galois"] + checks["maximal-prime"]
+    if which not in checks:
         raise ValueError(f"unknown oracle check {which!r}")
-    return reports
+    ideals = enumerate_ideals(cfg)
+    return [verify(cfg, ideals) for verify in checks[which]]

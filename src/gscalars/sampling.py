@@ -13,6 +13,9 @@ from .exactnum import Poly, RatFun
 from .seqrep import RSeq, indicator
 from .sets_filters import FilterDescriptor, SetDescriptor
 
+# The points a random set adds to or removes from its periodic part lie in 0..POINT_SPAN.
+POINT_SPAN = 30
+
 
 def random_rat(rng: random.Random, span: int = 12) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
@@ -36,11 +39,11 @@ def random_ratfun(rng: random.Random, max_degree: int = 3) -> RatFun:
     return RatFun(random_poly(rng, max_degree), safe_denominator(rng))
 
 
-def random_set(rng: random.Random, max_modulus: int = 6, point_span: int = 30) -> SetDescriptor:
+def random_set(rng: random.Random, max_modulus: int = 6) -> SetDescriptor:
     m = rng.randint(1, max_modulus)
     residues = [r for r in range(m) if rng.random() < 0.5]
-    plus = [rng.randint(0, point_span) for _ in range(rng.randint(0, 3))]
-    minus = [rng.randint(0, point_span) for _ in range(rng.randint(0, 3))]
+    plus = [rng.randint(0, POINT_SPAN) for _ in range(rng.randint(0, 3))]
+    minus = [rng.randint(0, POINT_SPAN) for _ in range(rng.randint(0, 3))]
     return SetDescriptor(m, residues, plus=plus, minus=minus)
 
 
@@ -57,7 +60,7 @@ def random_principal_filter(rng: random.Random) -> FilterDescriptor:
 
 def random_filter_member(rng: random.Random, f: FilterDescriptor) -> SetDescriptor:
     """A random set the filter contains (supersets of the base / cofinite)."""
-    removed = [rng.randint(0, 30) for _ in range(rng.randint(0, 3))]
+    removed = [rng.randint(0, POINT_SPAN) for _ in range(rng.randint(0, 3))]
     if f.kind == FilterDescriptor.FRECHET:
         return SetDescriptor.cofinite(removed)
     extra = random_set(rng)

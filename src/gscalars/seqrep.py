@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
+from .errors import MissingException, NotConvergent, UnboundedSequence
 from .exactnum import (
     Rat,
     RatFun,
@@ -22,16 +21,7 @@ from .exactnum import (
     limit_at_infinity,
     sign_breaks,
 )
-from .sets_filters import SetDescriptor, minimal_period
-
-# A sequence keeps one branch per residue class, so its modulus is capped
-# before any branch list is built.
-MAX_MODULUS = 10**5
-
-
-def _check_modulus(m: int) -> None:
-    if m > MAX_MODULUS:
-        raise ModulusTooLarge(f"modulus {m} is above the limit of {MAX_MODULUS}")
+from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +69,7 @@ class RSeq:
     exceptions: dict[int, Rat]
 
     def __init__(self, modulus: int, branches, exceptions=None):
-        _check_modulus(modulus)
+        lcm(modulus)  # refuses a modulus past MAX_MODULUS
         branches = tuple(b if isinstance(b, RatFun) else RatFun(b) for b in branches)
         if modulus < 1 or len(branches) != modulus:
             raise ValueError("need one branch per residue class")
@@ -130,7 +120,6 @@ class RSeq:
 
     def _merge(self, other: "RSeq", fun_op, val_op) -> "RSeq":
         m = lcm(self.modulus, other.modulus)
-        _check_modulus(m)
         branches = [
             fun_op(self.branches[r % self.modulus], other.branches[r % other.modulus])
             for r in range(m)
@@ -269,7 +258,6 @@ def make_identity() -> RSeq:
 
 def indicator(s: SetDescriptor) -> RSeq:
     """The 0/1 characteristic sequence of a set descriptor."""
-    _check_modulus(s.modulus)
     one, zero = RatFun.constant(1), RatFun.constant(0)
     # Character r of the reversed binary tail is bit r: one pass over the bits.
     tail = f"{s.tail:0{s.modulus}b}"[::-1]

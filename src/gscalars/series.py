@@ -44,11 +44,6 @@ class SeriesVerdict:
     def unbounded_divergent(cls) -> "SeriesVerdict":
         return cls(cls.UNBOUNDED_DIVERGENT)
 
-    def __repr__(self) -> str:
-        if self.kind == self.CONVERGENT_SUM:
-            return f"ConvergentSum({self.value})"
-        return self.kind
-
 
 def partial_sums(s: RSeq) -> RSeq:
     """The sequence of cumulative sums x(n) = s(0) + ... + s(n).

@@ -15,24 +15,38 @@ This class of sets is closed under boolean algebra, is exactly the class of
 zero sets of representable sequences, and makes every predicate here total
 and exact.
 
+A pattern is as wide as its modulus, and a sequence keeps one branch per
+residue class, so every modulus and every lcm of moduli formed here is
+checked against MAX_MODULUS (`lcm`) before a pattern that wide is built.
+
 Filters are either Frechet (all cofinite sets) or principal (all supersets
 of a fixed nonempty set).  Both give a decidable membership test.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from operator import and_, or_, xor
 
-from .errors import InvalidFilter
+from .errors import InvalidFilter, ModulusTooLarge
 from .report import Report
+
+MAX_MODULUS = 10**5
 
 # (start, stop, period, pattern): n in [start, stop) is a member exactly
 # when bit n % period of `pattern` is set.
 Segment = tuple[int, int, int, int]
+
+
+def lcm(*moduli: int) -> int:
+    """The least common multiple of `moduli`, refused past MAX_MODULUS."""
+    m = math.lcm(*moduli)
+    if m > MAX_MODULUS:
+        raise ModulusTooLarge(f"modulus {m} is above the limit of {MAX_MODULUS}")
+    return m
 
 
 @lru_cache(maxsize=256)
@@ -241,6 +255,7 @@ class SetDescriptor:
         with start <= n < stop and bit n % period of mask set."""
         if modulus < 1:
             raise ValueError("modulus must be positive")
+        lcm(modulus)  # refuses a modulus past MAX_MODULUS
         for r in residues:
             pattern |= 1 << r % modulus
         plus, minus = set(plus), set(minus)

@@ -24,24 +24,31 @@ SUITE_NAMES = (
 )
 
 
-def suite_filter_axioms(seed: int, filters: int = 20, samples: int = 200) -> list[Report]:
+# Random principal filters and sample sets per filter of the two per-filter
+# suites, and the sequences the Banach-bounds suite draws.
+AXIOM_FILTERS, AXIOM_SAMPLES = 20, 200
+ROUNDTRIP_FILTERS, ROUNDTRIP_SAMPLES = 10, 100
+BANACH_SAMPLES = 100
+
+
+def _per_filter(seed: int, check, filters: int, samples: int) -> list[Report]:
+    """check(f, sample sets of f) for the Frechet filter and then `filters`
+    random principal filters, all drawn from one generator seeded by `seed`."""
     rng = random.Random(seed)
     frechet = FilterDescriptor.frechet()
-    reports = [check_filter_axioms(frechet, sample_sets(rng, samples, frechet))]
+    reports = [check(frechet, sample_sets(rng, samples, frechet))]
     for _ in range(filters):
         f = random_principal_filter(rng)
-        reports.append(check_filter_axioms(f, sample_sets(rng, samples, f)))
+        reports.append(check(f, sample_sets(rng, samples, f)))
     return reports
 
 
-def suite_galois_roundtrip(seed: int, filters: int = 10, samples: int = 100) -> list[Report]:
-    rng = random.Random(seed)
-    frechet = FilterDescriptor.frechet()
-    reports = [roundtrip_filter(frechet, sample_sets(rng, samples, frechet))]
-    for _ in range(filters):
-        f = random_principal_filter(rng)
-        reports.append(roundtrip_filter(f, sample_sets(rng, samples, f)))
-    return reports
+def suite_filter_axioms(seed: int) -> list[Report]:
+    return _per_filter(seed, check_filter_axioms, AXIOM_FILTERS, AXIOM_SAMPLES)
+
+
+def suite_galois_roundtrip(seed: int) -> list[Report]:
+    return _per_filter(seed, roundtrip_filter, ROUNDTRIP_FILTERS, ROUNDTRIP_SAMPLES)
 
 
 def suite_archimedean(kmax: int = 1000) -> list[Report]:
@@ -64,9 +71,9 @@ def suite_shift_impossibility() -> list[Report]:
     return [shift_invariance_impossibility()]
 
 
-def suite_banach_bounds(seed: int, count: int = 100) -> list[Report]:
+def suite_banach_bounds(seed: int) -> list[Report]:
     rng = random.Random(seed)
-    samples = [random_convergent_rseq(rng) for _ in range(count)]
+    samples = [random_convergent_rseq(rng) for _ in range(BANACH_SAMPLES)]
     return [banach_bounds_check(samples)]
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from gscalars.exactnum import Poly, RatFun
-from gscalars.oracle import FiniteConfig, verify_galois, verify_maximal_prime
+from gscalars.oracle import FiniteConfig, enumerate_ideals, verify_galois, verify_maximal_prime
 from gscalars.quotient import (
     Scalar,
     archimedean_counterexample,
@@ -47,7 +47,7 @@ def criterion(number: int, label: str):
 
 def test_criterion_1_filter_axioms():
     with criterion(1, "filter axioms on frechet and 20 principal filters"):
-        reports = suite_filter_axioms(SEED, filters=20, samples=200)
+        reports = suite_filter_axioms(SEED)
         assert len(reports) == 21
         for report in reports:
             assert report.failed == 0, report.render()
@@ -55,7 +55,7 @@ def test_criterion_1_filter_axioms():
 
 def test_criterion_2_galois_roundtrips_symbolic():
     with criterion(2, "symbolic galois roundtrips"):
-        reports = suite_galois_roundtrip(SEED, filters=10, samples=100)
+        reports = suite_galois_roundtrip(SEED)
         assert len(reports) == 11
         for report in reports:
             assert report.failed == 0, report.render()
@@ -65,7 +65,8 @@ def test_criterion_3_galois_bijection_exhaustive():
     with criterion(3, "exhaustive galois bijection under 5 seconds"):
         started = time.monotonic()
         for lam in (2, 3):
-            report = verify_galois(FiniteConfig(lam, 2))
+            cfg = FiniteConfig(lam, 2)
+            report = verify_galois(cfg, enumerate_ideals(cfg))
             assert report.failed == 0, report.render()
             expected = 2**lam - 1
             assert f"ideal count = {expected}" in report.render()
@@ -76,7 +77,8 @@ def test_criterion_4_maximal_prime_equivalences():
     with criterion(4, "maximal<->field and prime<->division equivalences"):
         for lam in (2, 3):
             for field in (2, 3):
-                report = verify_maximal_prime(FiniteConfig(lam, field))
+                cfg = FiniteConfig(lam, field)
+                report = verify_maximal_prime(cfg, enumerate_ideals(cfg))
                 assert report.failed == 0, report.render()
 
 

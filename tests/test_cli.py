@@ -6,11 +6,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscalars import exactnum
+from gscalars import exactnum, sets_filters
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
 from gscalars.expr import MAX_DEPTH, parse, render
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
+
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 def run_cli(*argv):
@@ -59,6 +62,7 @@ class TestEval:
         code, text = run_cli("eval", "1 + + 2")
         assert code == 1
         assert text.startswith("error: SyntaxError line=1 column=5")
+        assert run_cli("eval", "1 + " + "7" * (DIGIT_LIMIT + 1)) == (1, "error: SyntaxError line=1 column=5\n")
 
     def test_zero_scalar_error(self):
         code, text = run_cli("eval", "1 / 0")
@@ -270,6 +274,51 @@ class TestErrorDetail:
         assert captured.out == "error: ModulusTooLarge\n"
         assert "above the limit of 100000" in captured.err
 
+    # A set modulus, a set lcm, and the lcm that a principal filter's
+    # membership test takes of its base's and a zero set's moduli.
+    SET_MODULI = {
+        "set-modulus": ["eval", "ind(0 mod 3000000)"],
+        "set-union": ["eval", "ind(0 mod 9973 | 0 mod 9967)"],
+        "eq-9973-9967": ["eq", "--filter=principal:0 mod 9973", "ind(0 mod 9967)", "0"],
+        "eq-997-991": ["eq", "--filter=principal:0 mod 997", "ind(0 mod 991)", "0"],
+        "classify-997-991": ["classify", "--filter=principal:0 mod 997", "ind(0 mod 991)"],
+    }
+
+    @pytest.mark.parametrize("argv", SET_MODULI.values(), ids=SET_MODULI.keys())
+    def test_no_set_pattern_is_built_past_the_limit(self, monkeypatch, argv):
+        spread = sets_filters._spread
+
+        def guarded(mask, p, q):
+            if q > sets_filters.MAX_MODULUS:
+                raise AssertionError(f"a {q}-bit pattern was built")
+            return spread(mask, p, q)
+
+        monkeypatch.setattr(sets_filters, "_spread", guarded)
+        assert run_cli(*argv) == (1, "error: ModulusTooLarge\n")
+
+    # N * N has more digits than the interpreter converts to text, N has not.
+    N = "9" * (DIGIT_LIMIT // 2 + 1)
+    M = "9" * DIGIT_LIMIT
+    TEN = "1" + "0" * (DIGIT_LIMIT // 2 + 1)
+    BIG_NUMBERS = {
+        "product": ["eval", f"{N}*{N}"],
+        "standard-part": ["eval", f"st({N}*{N} + 1/(n+1))"],
+        "sum-value": ["sum", f"{N}*{N}"],
+        "sum-verdict": ["sum", f"0 except {{0: {M}, 1: {M}}}"],
+        "zero-divisor-witness": ["eval", "--filter=principal:evens", f"invert(n - {TEN}*{TEN})"],
+    }
+
+    @pytest.mark.parametrize("argv", BIG_NUMBERS.values(), ids=BIG_NUMBERS.keys())
+    def test_number_past_the_digit_limit(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "error: NumberTooLarge\n"
+        assert f"more than {DIGIT_LIMIT} digits" in captured.err
+
+    def test_number_at_the_digit_limit_prints(self):
+        assert run_cli("eval", f"{self.M} + 0") == (0, f"{self.M} [Appreciable]\n")
+        assert run_cli("eval", f"st(1/{self.M})") == (0, f"1/{self.M}\n")
+
 
 class TestDeterminism:
     def _spawn(self, *args, seed="4242"):
@@ -337,12 +386,23 @@ _SCALAR_EXPRS = st.recursive(
     max_leaves=6,
 )
 
+
+@st.composite
+def _one_char_inserted(draw):
+    """A generated expression with one character inserted anywhere: numeric
+    characters that are no decimal digit, a decimal digit of another
+    script, a no-break space, a character outside the grammar or a newline."""
+    text = draw(_SCALAR_EXPRS)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.sampled_from(["\u00b2", "\u00bd", "\u216b", "\u0661", "\u00a0", "?", "\n"])) + text[at:]
+
+
 _FILTERS = st.one_of(st.just("frechet"), _SET_EXPRS.map("principal:{}".format))
 
 
 class TestGrammarFuzz:
     @settings(deadline=None)
-    @given(_SCALAR_EXPRS, _FILTERS, st.sampled_from(["eval", "classify"]))
+    @given(st.one_of(_SCALAR_EXPRS, _one_char_inserted()), _FILTERS, st.sampled_from(["eval", "classify"]))
     def test_one_line_and_a_matching_exit_code(self, expression, filt, command):
         code, text = run_cli(command, f"--filter={filt}", "--", expression)
         lines = text.split("\n")

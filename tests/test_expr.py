@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,29 @@ class TestParse:
             ex.parse("ind(0 mod 0)")
         with pytest.raises(ex.SyntaxError):
             ex.parse("n except {0: 1/0}")
+
+    @pytest.mark.parametrize("text", ["\u00b2", "1\u00b2", "\u00bd", "\u216b", "ind({\u00b2})"])
+    def test_numeric_characters_that_are_not_decimal_digits(self, text):
+        """Superscripts, fractions and Roman numerals are no integer literal."""
+        with pytest.raises(ex.SyntaxError):
+            ex.parse(text)
+
+    def test_other_decimal_digits_are_literals(self):
+        assert run("\u0661\u0662").rep == make_constant(12)
+
+    def test_literal_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert ex.parse("7" * limit) == ex.Lit(int("7" * limit))
+        with pytest.raises(ex.SyntaxError) as err:
+            ex.parse("1 + " + "7" * (limit + 1))
+        assert (err.value.line, err.value.column) == (1, 5)
+
+    @pytest.mark.parametrize("text,position", [("1 +\n2 *\n  )", (3, 3)), ("1 +\n\n  ", (3, 3)), ("1 +  ", (1, 6))])
+    def test_lines_and_columns(self, text, position):
+        """Lines are counted at each newline; the end of input is past the last character."""
+        with pytest.raises(ex.SyntaxError) as err:
+            ex.parse(text)
+        assert (err.value.line, err.value.column) == position
 
 
 class TestRenderRoundTrip:

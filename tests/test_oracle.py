@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from gscalars import oracle
 from gscalars.errors import ConfigTooLarge
 from gscalars.oracle import (
     FiniteConfig,
@@ -111,25 +112,27 @@ class TestVerifyGalois:
     @pytest.mark.parametrize("lam", [2, 3])
     def test_f2_passes_quickly(self, lam):
         started = time.monotonic()
-        report = verify_galois(FiniteConfig(lam, 2))
+        cfg = FiniteConfig(lam, 2)
+        report = verify_galois(cfg, enumerate_ideals(cfg))
         elapsed = time.monotonic() - started
         assert report.ok, report.render()
         assert elapsed < 5.0
 
     def test_f3_lambda2(self):
-        report = verify_galois(FiniteConfig(2, 3))
+        cfg = FiniteConfig(2, 3)
+        report = verify_galois(cfg, enumerate_ideals(cfg))
         assert report.ok, report.render()
 
 
 class TestVerifyMaximalPrime:
     @pytest.mark.parametrize("cfg", [FiniteConfig(2, 2), FiniteConfig(3, 2), FiniteConfig(2, 3), FiniteConfig(3, 3)])
     def test_equivalences_hold(self, cfg):
-        report = verify_maximal_prime(cfg)
+        report = verify_maximal_prime(cfg, enumerate_ideals(cfg))
         assert report.ok, report.render()
 
     def test_zero_ideal_not_prime_when_two_points(self):
         cfg = FiniteConfig(2, 2)
-        report = verify_maximal_prime(cfg)
+        report = verify_maximal_prime(cfg, enumerate_ideals(cfg))
         text = report.render()
         # the all-points vanishing ideal is the zero ideal; its quotient is the
         # whole ring, which has the disjoint-support zero-divisor pair
@@ -146,6 +149,12 @@ class TestDeterminism:
         first = "\n".join(r.render() for r in run_oracle(cfg, "all"))
         second = "\n".join(r.render() for r in run_oracle(cfg, "all"))
         assert first == second
+
+    def test_all_checks_share_one_enumeration(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "enumerate_ideals", lambda cfg: calls.append(cfg) or enumerate_ideals(cfg))
+        assert len(run_oracle(FiniteConfig(2, 2), "all")) == 2
+        assert calls == [FiniteConfig(2, 2)]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
