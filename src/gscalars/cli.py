@@ -28,10 +28,11 @@ DEFAULT_SEED = 1729
 def parse_filter_flag(text: str) -> FilterDescriptor:
     if text == "frechet":
         return FilterDescriptor.frechet()
-    if text.startswith("principal:"):
-        set_node = expr_mod.parse_set(text[len("principal:"):])
-        return FilterDescriptor.principal(expr_mod.eval_set(set_node))
-    raise InvalidArgument(f"unknown filter {text!r}; use frechet or principal:<set>")
+    name, colon, set_text = text.partition(":")
+    if colon and name in ("frechet", "principal"):
+        base = expr_mod.eval_set(expr_mod.parse_set(set_text))
+        return FilterDescriptor(base, cofinite=name == "frechet")
+    raise InvalidArgument(f"unknown filter {text!r}; use frechet, frechet:<set> or principal:<set>")
 
 
 def render_value(value) -> str:
@@ -83,7 +84,8 @@ def main(argv=None, out=None) -> int:
 
     def add_filter_flag(p):
         p.add_argument("--filter", default="frechet", metavar="FILTER",
-                       help="frechet (default) or principal:<set>")
+                       help="frechet (default), frechet:<set> (sets holding all but finitely many "
+                            "points of <set>) or principal:<set> (supersets of <set>)")
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expression")

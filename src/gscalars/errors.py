@@ -39,7 +39,8 @@ class NonPolynomialTerms(Error):
 
 
 class InvalidFilter(Error):
-    """A principal filter was built over the empty set."""
+    """A filter was built over a base that would put the empty set in it:
+    an empty principal base or a finite cofinite one."""
 
 
 class FilterMismatch(Error):
@@ -85,6 +86,10 @@ class NestingTooDeep(Error):
 class ModulusTooLarge(Error):
     """A set or a sequence would need a modulus, or an lcm of moduli, above
     `sets_filters.MAX_MODULUS`."""
+
+
+class TooManyOverrides(Error):
+    """A sequence would hold more than `seqrep.MAX_OVERRIDES` overrides."""
 
 
 class NumberTooLarge(Error):

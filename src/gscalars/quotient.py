@@ -5,11 +5,14 @@ equal when their difference's zero set belongs to the filter.  The algebra
 embeds Q via constant sequences, carries the filter-lifted partial order,
 is not Archimedean under the Frechet filter (the ramp class dominates every
 embedded rational), and has zero divisors (disjoint-support indicators).
+Under a principal filter on B it is Q^B: no nonzero class is infinitesimal
+or infinite there.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,57 +151,47 @@ def try_invert(a: Scalar) -> Scalar:
     return Scalar(RSeq(a.rep.modulus, branches, overrides), a.filter)
 
 
-def _relevant_branches(a: Scalar) -> list[int]:
-    """Branches whose residue class matters under the scalar's filter.
-
-    Frechet: every class.  Principal(S): classes meeting S infinitely often.
-    """
-    m = a.rep.modulus
-    if a.filter.kind == FilterDescriptor.FRECHET:
-        return list(range(m))
-    base = a.filter.base
-    out = []
-    for r in range(m):
-        meet = base.intersect(SetDescriptor.residue_class(r, m))
-        if not meet.is_finite():
-            out.append(r)
-    return out
+def _relevant_limits(a: Scalar) -> list:
+    """The limits of the branches whose classes meet the filter's base
+    infinitely often: those of its tail residues mod the moduli's gcd."""
+    m, base = a.rep.modulus, a.filter.base
+    g = math.gcd(m, base.modulus)
+    met = {s % g for s in base.residues}
+    return [limit_at_infinity(a.rep.branches[r]) for r in range(m) if r % g in met]
 
 
 def classify(a: Scalar) -> Classification:
-    """Zero / Infinitesimal / Appreciable / Infinite / Mixed."""
+    """Zero / Infinitesimal / Appreciable / Infinite / Mixed, read off the
+    relevant branch limits.  In Q^B, under a principal filter, a nonzero
+    class is Appreciable when bounded on B and Mixed when not."""
     if a.is_zero():
         return Classification.ZERO
-    relevant = _relevant_branches(a)
-    if not relevant:
-        # Principal filter over a finite base: the class is pinned by
-        # finitely many rational values, hence finite and not infinitesimal.
-        return Classification.APPRECIABLE
-    limits = [limit_at_infinity(a.rep.branches[r]) for r in relevant]
-    if all(l.is_finite for l in limits):
-        if all(l.value == 0 for l in limits):
-            return Classification.INFINITESIMAL
-        return Classification.APPRECIABLE
+    limits = _relevant_limits(a)
+    bounded = all(l.is_finite for l in limits)
+    if not a.filter.cofinite:
+        return Classification.APPRECIABLE if bounded else Classification.MIXED
+    if bounded:
+        zero = all(l.value == 0 for l in limits)
+        return Classification.INFINITESIMAL if zero else Classification.APPRECIABLE
     if all(not l.is_finite for l in limits):
         return Classification.INFINITE
     return Classification.MIXED
 
 
 def standard_part(a: Scalar) -> Rat:
-    """The unique rational c with a - embed(c) infinitesimal or zero."""
-    relevant = _relevant_branches(a)
-    if relevant:
-        limits = [limit_at_infinity(a.rep.branches[r]) for r in relevant]
-        if any(not l.is_finite for l in limits):
-            raise NotStandardizable("an infinite branch blocks the standard part")
-        values = {l.value for l in limits}
-        if len(values) != 1:
-            raise NotStandardizable("branch limits disagree")
-        return next(iter(values))
-    # Principal filter over a finite base: standard iff constant on the base.
-    values = {a.rep.eval(n) for n in a.filter.base.elements()}
+    """The unique rational c with a - embed(c) infinitesimal or zero; under
+    a principal filter, where only zero is infinitesimal, a must equal c."""
+    if not a.filter.cofinite:
+        c = a.rep.eval(a.filter.base.sample(1)[0])
+        if not scalar_eq(a, embed(c, a.filter)):
+            raise NotStandardizable("the class is not constant on the base set")
+        return c
+    limits = _relevant_limits(a)
+    if any(not l.is_finite for l in limits):
+        raise NotStandardizable("an infinite branch blocks the standard part")
+    values = {l.value for l in limits}
     if len(values) != 1:
-        raise NotStandardizable("values on the base set disagree")
+        raise NotStandardizable("branch limits disagree")
     return next(iter(values))
 
 

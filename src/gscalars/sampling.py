@@ -59,12 +59,12 @@ def random_principal_filter(rng: random.Random) -> FilterDescriptor:
 
 
 def random_filter_member(rng: random.Random, f: FilterDescriptor) -> SetDescriptor:
-    """A random set the filter contains (supersets of the base / cofinite)."""
+    """A random set the filter contains: a cofinite part of a cofinite
+    filter's base, or a principal base with a random set added."""
     removed = [rng.randint(0, POINT_SPAN) for _ in range(rng.randint(0, 3))]
-    if f.kind == FilterDescriptor.FRECHET:
-        return SetDescriptor.cofinite(removed)
-    extra = random_set(rng)
-    return f.base.union(extra)
+    if f.cofinite:
+        return f.base.intersect(SetDescriptor.cofinite(removed))
+    return f.base.union(random_set(rng))
 
 
 def sample_sets(rng: random.Random, count: int, f: FilterDescriptor | None = None) -> list[SetDescriptor]:
@@ -150,12 +150,10 @@ def random_infinite_rseq(rng: random.Random, max_modulus: int = 3) -> RSeq:
 
 
 def random_ideal_member(rng: random.Random, f: FilterDescriptor) -> RSeq:
-    """A random sequence whose zero set the filter contains."""
-    if f.kind == FilterDescriptor.FRECHET:
+    """A random sequence whose zero set the filter contains: it vanishes on
+    the base, except at a few points when the filter is cofinite."""
+    x = random_rseq(rng, max_modulus=2, max_degree=1) * indicator(f.base.complement())
+    if f.cofinite:
         support = {rng.randint(0, 25) for _ in range(rng.randint(0, 4))}
-        exceptions = {n: random_rat(rng) for n in support}
-        return RSeq(1, [RatFun.constant(0)], exceptions)
-    # Principal: anything that vanishes on the base set belongs.
-    mask = indicator(f.base.complement())
-    noise = random_rseq(rng, max_modulus=2, max_degree=1)
-    return noise * mask
+        x = x + RSeq(1, [RatFun.constant(0)], {n: random_rat(rng) for n in support})
+    return x

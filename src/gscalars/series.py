@@ -17,7 +17,7 @@ from .errors import NonPolynomialTerms
 from .exactnum import Rat, RatFun, poly_interpolate
 from .quotient import Scalar, embed, scalar_eq
 from .report import Report
-from .seqrep import BSeqVerdict, RSeq, make_constant, make_identity
+from .seqrep import BSeqVerdict, RSeq, check_overrides, make_constant, make_identity
 from .sets_filters import FilterDescriptor
 
 
@@ -51,7 +51,9 @@ def partial_sums(s: RSeq) -> RSeq:
     Requires every branch to be a polynomial (constant denominator).  Past
     the last exception each class's cumulative sum is a polynomial of degree
     at most max_degree + 1, so it is interpolated exactly from the first
-    max_degree + 2 directly summed points of that class.
+    max_degree + 2 directly summed points of that class.  Every sum before
+    the last exception is an override, so past MAX_OVERRIDES of them it
+    raises TooManyOverrides before summing.
     """
     for br in s.branches:
         if br.den.degree > 0:
@@ -60,6 +62,7 @@ def partial_sums(s: RSeq) -> RSeq:
     m = s.modulus
     fit_count = max(0, max(br.num.degree for br in s.branches)) + 2
     start = max(s.exceptions, default=-1) + 1
+    check_overrides(start)  # the sums below `start` become overrides
 
     horizon = start + m * fit_count
     running = Fraction(0)

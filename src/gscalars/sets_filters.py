@@ -19,8 +19,8 @@ A pattern is as wide as its modulus, and a sequence keeps one branch per
 residue class, so every modulus and every lcm of moduli formed here is
 checked against MAX_MODULUS (`lcm`) before a pattern that wide is built.
 
-Filters are either Frechet (all cofinite sets) or principal (all supersets
-of a fixed nonempty set).  Both give a decidable membership test.
+A filter over a base set B is principal (the supersets of B) or cofinite
+(the sets holding all but finitely many points of B; Frechet when B is N).
 """
 
 from __future__ import annotations
@@ -389,7 +389,9 @@ class SetDescriptor:
             flips.append((lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r)))
         return SetDescriptor(m, pattern=tail, flips=flips)
 
-    def superset_of(self, other: "SetDescriptor") -> bool:
+    def superset_of(self, other: "SetDescriptor", up_to_finite: bool = False) -> bool:
+        """Whether all points of `other` are members, or, `up_to_finite`, all
+        but finitely many: the tails decide that, as segments are finite."""
         # A residue class of `other` missing from our tail leaves infinitely
         # many points uncovered, so the tails are compared first.
         mine, theirs, m = self.tail, other.tail, self.modulus
@@ -398,7 +400,7 @@ class SetDescriptor:
             mine, theirs = _spread(mine, self.modulus, m), _spread(theirs, other.modulus, m)
         if theirs & ~mine:
             return False
-        if self.segments or other.segments:
+        if not up_to_finite and (self.segments or other.segments):
             for lo, hi, q, mine, theirs in _overlay(self, other):
                 if theirs & ~mine & _window(lo, hi, q):
                     return False
@@ -444,41 +446,31 @@ class SetDescriptor:
 
 @dataclass(frozen=True, slots=True)
 class FilterDescriptor:
-    """A decidable filter on N: Frechet (cofinite sets) or principal."""
+    """A decidable filter on N: the supersets of `base`, or, if `cofinite`,
+    the sets holding all but finitely many of its points."""
 
-    kind: str
-    base: SetDescriptor | None = None
-
-    FRECHET = "frechet"
-    PRINCIPAL = "principal"
+    base: SetDescriptor
+    cofinite: bool = False
 
     def __post_init__(self):
-        if self.kind == self.FRECHET:
-            if self.base is not None:
-                raise ValueError("frechet filter takes no base set")
-        elif self.kind == self.PRINCIPAL:
-            if self.base is None or self.base.is_empty():
-                raise InvalidFilter("a principal filter needs a nonempty base set")
-        else:
-            raise ValueError(f"unknown filter kind {self.kind!r}")
+        if self.base.is_finite() if self.cofinite else self.base.is_empty():
+            raise InvalidFilter("a principal base must be nonempty, and a cofinite base infinite")
 
     @classmethod
     def frechet(cls) -> "FilterDescriptor":
-        return cls(cls.FRECHET)
+        return cls(SetDescriptor.naturals(), cofinite=True)
 
     @classmethod
     def principal(cls, base: SetDescriptor) -> "FilterDescriptor":
-        return cls(cls.PRINCIPAL, base)
+        return cls(base)
 
     def contains(self, j: SetDescriptor) -> bool:
-        if self.kind == self.FRECHET:
-            return j.is_cofinite()
-        return j.superset_of(self.base)
+        return j.superset_of(self.base, up_to_finite=self.cofinite)
 
     def render(self) -> str:
-        if self.kind == self.FRECHET:
+        if self.cofinite and self.base.is_naturals():
             return "frechet"
-        return f"principal:{self.base.render()}"
+        return f"{'frechet' if self.cofinite else 'principal'}:{self.base.render()}"
 
     def __repr__(self) -> str:
         return f"FilterDescriptor<{self.render()}>"

@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from gscalars import exactnum, sets_filters
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
 from gscalars.expr import MAX_DEPTH, parse, render
+from gscalars.seqrep import MAX_OVERRIDES
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -35,6 +37,14 @@ class TestFilterFlag:
     def test_bad_flag(self):
         with pytest.raises(Error):
             parse_filter_flag("ultra")
+
+    def test_frechet_on_a_set(self):
+        assert parse_filter_flag("frechet:0 mod 2") == FilterDescriptor(SetDescriptor.evens(), cofinite=True)
+        assert parse_filter_flag("frechet:0 mod 1") == FilterDescriptor.frechet()
+
+    @pytest.mark.parametrize("text", ["frechet", "frechet:0 mod 2", "principal:0 mod 2", "principal:{2,4}"])
+    def test_render_reads_back(self, text):
+        assert parse_filter_flag(text).render() == text
 
 
 class TestEval:
@@ -138,6 +148,31 @@ class TestSubcommands:
     def test_non_integer_seed(self, monkeypatch):
         monkeypatch.setenv("GSC_SEED", "12x")
         assert run_cli("check", "shift-impossibility") == (1, "error: InvalidArgument\n")
+
+
+class TestFilterShapes:
+    """Classes and standard parts agree with the order and equality of the
+    algebra: Q^evens under principal:evens, the cofinite sets of the evens
+    under frechet:evens."""
+
+    CASES = {
+        "principal-ramp": ("principal:evens", "class(n)", "Mixed"),
+        "principal-ramp-bound": ("principal:evens", "le(1000000, n)", "false"),
+        "principal-harmonic": ("principal:evens", "class(1/(n+1))", "Appreciable"),
+        "principal-harmonic-st": ("principal:evens", "st(1/(n+1))", "error: NotStandardizable"),
+        "principal-override": ("principal:evens", "class(0 except {0: 7})", "Appreciable"),
+        "cofinite-ramp": ("frechet:evens", "class(n)", "Infinite"),
+        "cofinite-ramp-bound": ("frechet:evens", "le(1000000, n)", "true"),
+        "cofinite-harmonic": ("frechet:evens", "class(1/(n+1))", "Infinitesimal"),
+        "cofinite-harmonic-st": ("frechet:evens", "st(1/(n+1))", "0"),
+        "cofinite-override": ("frechet:evens", "class(0 except {0: 7})", "Zero"),
+        "cofinite-finite-base": ("frechet:{1,2}", "1", "error: InvalidFilter"),
+    }
+
+    @pytest.mark.parametrize("filt,expression,expected", CASES.values(), ids=CASES.keys())
+    def test_answer(self, filt, expression, expected):
+        code, text = run_cli("eval", f"--filter={filt}", expression)
+        assert (code, text) == (int(expected.startswith("error:")), expected + "\n")
 
 
 def _squared(text: str, times: int) -> str:
@@ -258,6 +293,25 @@ class TestOrderAtScale:
         monkeypatch.setattr(exactnum, "poly_gcd", counting)
         assert run_cli("eq", "--", rendered, expression) == (0, "true\n")
         assert calls < 2000
+
+
+class TestOverrideLimit:
+    # The first walks the partial sums to N; the second lists every override.
+    PROBES = {
+        "sum-at-the-limit": f"sum(n except {{{MAX_OVERRIDES}: 1}})",
+        "sum-at-a-huge-index": "sum(n except {" + "9" * DIGIT_LIMIT + ": 1})",
+        "override-list": "0 except {" + ", ".join(f"{k}: 1" for k in range(MAX_OVERRIDES + 1)) + "}",
+    }
+
+    @pytest.mark.parametrize("expression", PROBES.values(), ids=PROBES.keys())
+    def test_one_error_line_at_once(self, expression):
+        start = time.perf_counter()
+        assert run_cli("eval", expression) == (1, "error: TooManyOverrides\n")
+        assert time.perf_counter() - start < 1
+
+    def test_sums_below_the_limit_evaluate(self):
+        code, text = run_cli("eval", f"sum(n except {{{MAX_OVERRIDES - 1}: 1}})")
+        assert code == 0 and text.endswith(" [Infinite]\n")
 
 
 class TestErrorDetail:
@@ -397,7 +451,9 @@ def _one_char_inserted(draw):
     return text[:at] + draw(st.sampled_from(["\u00b2", "\u00bd", "\u216b", "\u0661", "\u00a0", "?", "\n"])) + text[at:]
 
 
-_FILTERS = st.one_of(st.just("frechet"), _SET_EXPRS.map("principal:{}".format))
+_FILTERS = st.one_of(
+    st.just("frechet"), _SET_EXPRS.map("frechet:{}".format), _SET_EXPRS.map("principal:{}".format)
+)
 
 
 class TestGrammarFuzz:

@@ -366,7 +366,9 @@ class TestClassify:
         assert classify(Scalar(x, FRECHET)) is Classification.MIXED
         assert classify(Scalar(x, f)) is Classification.ZERO
         y = indicator(SetDescriptor.evens()) * make_identity() + make_constant(1)
-        assert classify(Scalar(y, f)) is Classification.INFINITE
+        # Q^evens has no infinite class: y is unbounded on the evens but
+        # below embed(2) at 0, so it is neither bounded nor infinite.
+        assert classify(Scalar(y, f)) is Classification.MIXED
 
     def test_finite_principal_base(self):
         f = FilterDescriptor.principal(SetDescriptor.finite({2, 4}))
@@ -414,6 +416,78 @@ class TestStandardPart:
                 Classification.ZERO,
                 Classification.INFINITESIMAL,
             )
+
+
+def random_filter(rng):
+    """frechet, frechet:B with B infinite, or principal:B with B finite or infinite."""
+    form = rng.randrange(4)
+    if form == 0:
+        return FRECHET
+    if form == 3:
+        return FilterDescriptor.principal(SetDescriptor.finite(rng.sample(range(30), rng.randint(1, 3))))
+    base = random_nonempty_set(rng)
+    while base.is_finite():
+        base = random_nonempty_set(rng)
+    return FilterDescriptor(base, cofinite=form == 1)
+
+
+def random_class(rng, f):
+    """A scalar of each shape: small, appreciable, large, masked to a random
+    set, or a rational plus a member of the ideal."""
+    shape = rng.randrange(6)
+    if shape == 5:
+        return embed(random_rat(rng), f) + Scalar(random_ideal_member(rng, f), f)
+    make = [random_infinitesimal_rseq, random_appreciable_rseq, random_infinite_rseq, random_rseq, random_rseq][shape]
+    x = make(rng)
+    if shape == 4:
+        x = x * indicator(random_nonempty_set(rng))
+    return Scalar(x, f)
+
+
+class TestAgreementWithTheOrder:
+    """`classify` and `standard_part` agree with `leq` and `scalar_eq` under
+    every filter shape: x*x is compared with embed(k) and embed(1/k) over a
+    ladder of k, which decides each class's defining inequalities up to the
+    ladder's top."""
+
+    LADDER = [Fraction(10) ** e for e in (0, 2, 4, 8, 16)]
+
+    def test_classes_match_probes(self):
+        rng = random.Random(163)
+        seen = set()
+        for _ in range(200):
+            f = random_filter(rng)
+            x = random_class(rng, f)
+            sq = x * x
+            small = all(leq(sq, embed(1 / k, f)) for k in self.LADDER)
+            bounded = any(leq(sq, embed(k, f)) for k in self.LADDER)
+            large = all(leq(embed(k, f), sq) for k in self.LADDER)
+            zero = scalar_eq(x, embed(0, f))
+            c = classify(x)
+            seen.add((f.cofinite, c))
+            assert (c is Classification.ZERO) == zero, (f, x)
+            if c is Classification.INFINITESIMAL:
+                assert small, (f, x)
+            elif c is Classification.APPRECIABLE:
+                assert bounded and not small, (f, x)
+            elif c is Classification.INFINITE:
+                assert large, (f, x)
+            elif c is Classification.MIXED:
+                assert not bounded and not large, (f, x)
+        principal = {Classification.ZERO, Classification.APPRECIABLE, Classification.MIXED}
+        assert seen == {(True, c) for c in Classification} | {(False, c) for c in principal}
+
+    def test_standard_part_leaves_an_infinitesimal(self):
+        rng = random.Random(167)
+        for _ in range(200):
+            f = random_filter(rng)
+            x = random_class(rng, f)
+            try:
+                st = standard_part(x)
+            except NotStandardizable:
+                assert classify(x) not in (Classification.ZERO, Classification.INFINITESIMAL), (f, x)
+                continue
+            assert classify(x - embed(st, f)) in (Classification.ZERO, Classification.INFINITESIMAL), (f, x)
 
 
 class TestWellDefinedness:

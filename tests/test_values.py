@@ -21,7 +21,7 @@ VALUES = [
     (SetDescriptor, lambda: SetDescriptor(4, (0, 2), plus=[3]), lambda: SetDescriptor.evens().union(
         SetDescriptor.finite({3})), "segments", True),
     (FilterDescriptor, lambda: FilterDescriptor.principal(SetDescriptor.evens()),
-     lambda: FilterDescriptor("principal", SetDescriptor(4, (0, 2))), "base", True),
+     lambda: FilterDescriptor(SetDescriptor(4, (0, 2))), "base", True),
     (RSeq, lambda: RSeq(2, [Poly([0, 1]), Poly([0, 1])], {0: 5, 1: 1}),
      lambda: RSeq(1, [RatFun.identity()], {0: 5}), "exceptions", True),
     (BSeqVerdict, lambda: BSeqVerdict.convergent(rat(1, 2)), lambda: BSeqVerdict("Convergent", rat(1, 2)),
@@ -60,9 +60,7 @@ def test_validation_raises_the_same_errors():
         ExtendedRat(1, 5)
     with pytest.raises(ValueError):
         ExtendedRat(2)
-    with pytest.raises(ValueError):
-        FilterDescriptor("frechet", SetDescriptor.evens())
     with pytest.raises(InvalidFilter):
         FilterDescriptor.principal(SetDescriptor.empty())
-    with pytest.raises(ValueError):
-        FilterDescriptor("ultra")
+    with pytest.raises(InvalidFilter):
+        FilterDescriptor(SetDescriptor.finite({1, 2}), cofinite=True)
