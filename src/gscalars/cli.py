@@ -18,11 +18,19 @@ from . import expr as expr_mod
 from .errors import Error, InvalidArgument, NumberTooLarge, ZeroDivisor
 from .oracle import FiniteConfig, run_oracle
 from .quotient import Scalar, classify, scalar_eq
-from .series import classify_series, generalized_sum
+from .seqrep import BSeqVerdict
+from .series import partial_sums
 from .sets_filters import FilterDescriptor
 from .suites import SUITE_NAMES, run_suite
 
 DEFAULT_SEED = 1729
+
+# `gsc sum` names a series by the verdict on its partial sums.
+SERIES_VERDICTS = {
+    BSeqVerdict.CONVERGENT: "ConvergentSum",
+    BSeqVerdict.BOUNDED_DIVERGENT: "BoundedDivergent",
+    BSeqVerdict.UNBOUNDED: "UnboundedDivergent",
+}
 
 
 def parse_filter_flag(text: str) -> FilterDescriptor:
@@ -131,10 +139,11 @@ def main(argv=None, out=None) -> int:
             print(classify(scalar), file=out)
         elif args.command == "sum":
             [scalar] = expr_mod.evaluate_scalars([args.expression], filt)
-            verdict = classify_series(scalar.rep)
-            total = "" if verdict.value is None else f"({expr_mod.number_text(verdict.value)})"
-            value = render_value(generalized_sum(scalar.rep, filt))
-            print(f"verdict: {verdict.kind}{total}", file=out)
+            sums = partial_sums(scalar.rep)
+            verdict = sums.classify_bounded()
+            total = "" if verdict.limit is None else f"({expr_mod.number_text(verdict.limit)})"
+            value = render_value(Scalar(sums, filt))
+            print(f"verdict: {SERIES_VERDICTS[verdict.kind]}{total}", file=out)
             print(f"value: {value}", file=out)
         else:
             left, right = expr_mod.evaluate_scalars([args.left, args.right], filt)

@@ -88,6 +88,10 @@ class ModulusTooLarge(Error):
     `sets_filters.MAX_MODULUS`."""
 
 
+class DegreeTooLarge(Error):
+    """A polynomial would have degree above `exactnum.MAX_DEGREE`."""
+
+
 class TooManyOverrides(Error):
     """A sequence would hold more than `seqrep.MAX_OVERRIDES` overrides."""
 

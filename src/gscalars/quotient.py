@@ -20,7 +20,7 @@ from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivi
 from .exactnum import Rat, RatFun, limit_at_infinity, sign_breaks
 from .galois import in_ideal
 from .report import Report
-from .seqrep import RSeq, indicator, make_constant, make_identity
+from .seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from .sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -186,13 +186,12 @@ def standard_part(a: Scalar) -> Rat:
         if not scalar_eq(a, embed(c, a.filter)):
             raise NotStandardizable("the class is not constant on the base set")
         return c
-    limits = _relevant_limits(a)
-    if any(not l.is_finite for l in limits):
+    verdict = BSeqVerdict.of(_relevant_limits(a))
+    if verdict.kind == BSeqVerdict.UNBOUNDED:
         raise NotStandardizable("an infinite branch blocks the standard part")
-    values = {l.value for l in limits}
-    if len(values) != 1:
+    if verdict.kind == BSeqVerdict.BOUNDED_DIVERGENT:
         raise NotStandardizable("branch limits disagree")
-    return next(iter(values))
+    return verdict.limit
 
 
 def archimedean_counterexample(kmax: int, f: FilterDescriptor) -> Report:

@@ -25,8 +25,8 @@ from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noq
 
 # A sequence lists its overrides one by one, and the partial sums of a
 # sequence overridden at N override every index up to N; `gsc sum` of
-# `sum(n except {4999: 1})` takes 0.8 s on a 2-core VM, and 1.2 s with a
-# quintic branch.
+# `sum(n except {4999: 1})` takes 0.3-0.4 s on a 2-core VM, and 0.4-0.7 s
+# with a quintic branch.
 MAX_OVERRIDES = 5000
 
 
@@ -58,6 +58,18 @@ class BSeqVerdict:
     @classmethod
     def unbounded(cls) -> "BSeqVerdict":
         return cls(cls.UNBOUNDED)
+
+    @classmethod
+    def of(cls, limits) -> "BSeqVerdict":
+        """The verdict of branches tending to `limits` (ExtendedRats):
+        Unbounded when one is infinite, Convergent when all agree, and
+        BoundedDivergent otherwise."""
+        if any(not l.is_finite for l in limits):
+            return cls.unbounded()
+        values = {l.value for l in limits}
+        if len(values) == 1:
+            return cls.convergent(values.pop())
+        return cls.bounded_divergent()
 
     def __repr__(self) -> str:
         if self.kind == self.CONVERGENT:
@@ -207,13 +219,7 @@ class RSeq:
         return [limit_at_infinity(br) for br in self.branches]
 
     def classify_bounded(self) -> BSeqVerdict:
-        limits = self.branch_limits()
-        if any(not l.is_finite for l in limits):
-            return BSeqVerdict.unbounded()
-        values = {l.value for l in limits}
-        if len(values) == 1:
-            return BSeqVerdict.convergent(next(iter(values)))
-        return BSeqVerdict.bounded_divergent()
+        return BSeqVerdict.of(self.branch_limits())
 
     def limit(self) -> Rat:
         verdict = self.classify_bounded()
@@ -230,8 +236,8 @@ class RSeq:
         branch limit.  An exception e cuts a run into pieces that end at
         e - m and e + m.
         """
-        verdict = self.classify_bounded()
-        if verdict.kind == BSeqVerdict.UNBOUNDED:
+        limits = self.branch_limits()
+        if BSeqVerdict.of(limits).kind == BSeqVerdict.UNBOUNDED:
             raise UnboundedSequence("sup/inf of an unbounded sequence")
         m = self.modulus
         points = set(range(m))
@@ -241,7 +247,7 @@ class RSeq:
             for c in sign_breaks(br.shift_arg(m) - br):
                 points.update(range(c + (r - c) % m, c + m + 1, m))
         candidates = [self.eval(n) for n in points]
-        candidates.extend(l.value for l in self.branch_limits())
+        candidates.extend(l.value for l in limits)
         return min(candidates), max(candidates)
 
     def sup_val(self) -> Rat:

@@ -1,6 +1,11 @@
-"""Series machinery: partial sums in closed form, the convergence
-trichotomy, generalized sums valued in a quotient algebra, and the
-no-shift-invariant-extension computation.
+"""Series machinery: partial sums in closed form, the Banach-bounds check,
+and the no-shift-invariant-extension computation.
+
+A series s is read through its partial-sum sequence x = partial_sums(s).
+Its convergence trichotomy is x.classify_bounded(), which `gsc sum` prints
+as ConvergentSum(value), BoundedDivergent or UnboundedDivergent, and its
+generalized value under a filter f is the class Scalar(x, f), which is what
+`sum(s)` evaluates to.
 
 Partial sums of a polynomial-branch sequence are again representable: on
 each residue class the cumulative sum is a polynomial of one degree higher,
@@ -10,39 +15,14 @@ degree recovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonPolynomialTerms
-from .exactnum import Rat, RatFun, poly_interpolate
+from .exactnum import RatFun, poly_interpolate
 from .quotient import Scalar, embed, scalar_eq
 from .report import Report
 from .seqrep import BSeqVerdict, RSeq, check_overrides, make_constant, make_identity
 from .sets_filters import FilterDescriptor
-
-
-@dataclass(frozen=True, slots=True)
-class SeriesVerdict:
-    """ConvergentSum(value) / BoundedDivergent / UnboundedDivergent."""
-
-    kind: str
-    value: Rat | None = None
-
-    CONVERGENT_SUM = "ConvergentSum"
-    BOUNDED_DIVERGENT = "BoundedDivergent"
-    UNBOUNDED_DIVERGENT = "UnboundedDivergent"
-
-    @classmethod
-    def convergent_sum(cls, value) -> "SeriesVerdict":
-        return cls(cls.CONVERGENT_SUM, Fraction(value))
-
-    @classmethod
-    def bounded_divergent(cls) -> "SeriesVerdict":
-        return cls(cls.BOUNDED_DIVERGENT)
-
-    @classmethod
-    def unbounded_divergent(cls) -> "SeriesVerdict":
-        return cls(cls.UNBOUNDED_DIVERGENT)
 
 
 def partial_sums(s: RSeq) -> RSeq:
@@ -81,21 +61,6 @@ def partial_sums(s: RSeq) -> RSeq:
     return RSeq(m, branches, exceptions)
 
 
-def classify_series(s: RSeq) -> SeriesVerdict:
-    """Convergence trichotomy via the partial-sum sequence."""
-    verdict = partial_sums(s).classify_bounded()
-    if verdict.kind == BSeqVerdict.CONVERGENT:
-        return SeriesVerdict.convergent_sum(verdict.limit)
-    if verdict.kind == BSeqVerdict.BOUNDED_DIVERGENT:
-        return SeriesVerdict.bounded_divergent()
-    return SeriesVerdict.unbounded_divergent()
-
-
-def generalized_sum(s: RSeq, f: FilterDescriptor) -> Scalar:
-    """The class of the partial-sum sequence: a value for every series."""
-    return Scalar(partial_sums(s), f)
-
-
 def shift_invariance_impossibility() -> Report:
     """Computed fact chain: a shift-invariant extension of the limit
     functional to any space containing the ramp sequence forces 0 = 1."""
@@ -129,10 +94,11 @@ def banach_bounds_check(samples: list[RSeq]) -> Report:
     report = Report("banach-bounds")
     bad_bounds, bad_shift, skipped = [], [], 0
     for x in samples:
-        if x.classify_bounded().kind != BSeqVerdict.CONVERGENT:
+        verdict = x.classify_bounded()
+        if verdict.kind != BSeqVerdict.CONVERGENT:
             skipped += 1
             continue
-        value = x.limit()
+        value = verdict.limit
         if not (x.inf_val() <= value <= x.sup_val()):
             bad_bounds.append(x)
         if x.shift().limit() != value:

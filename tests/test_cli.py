@@ -7,9 +7,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscalars import exactnum, sets_filters
+from gscalars import cli, exactnum, expr, series, sets_filters
 from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
+from gscalars.exactnum import MAX_DEGREE
 from gscalars.expr import MAX_DEPTH, parse, render
 from gscalars.seqrep import MAX_OVERRIDES
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
@@ -103,6 +104,33 @@ class TestSubcommands:
         assert code == 0
         assert text.splitlines()[0] == "verdict: ConvergentSum(5/6)"
 
+    # The verdict is that of the partial sums, so it is the same under every filter.
+    @pytest.mark.parametrize("filt", ["frechet", "principal:0 mod 2"])
+    @pytest.mark.parametrize("expression,verdict", [
+        ("0 except {0: 1/2, 2: 1/3}", "ConvergentSum(5/6)"),
+        ("ind(0 mod 2) - ind(1 mod 2)", "BoundedDivergent"),
+        ("1", "UnboundedDivergent"),
+    ])
+    def test_sum_verdict_names(self, filt, expression, verdict):
+        code, text = run_cli("sum", f"--filter={filt}", "--", expression)
+        assert code == 0
+        assert text.splitlines()[0] == f"verdict: {verdict}"
+
+    def test_sum_computes_the_partial_sums_once(self, monkeypatch):
+        calls = 0
+        partial_sums = series.partial_sums
+
+        def counting(s):
+            nonlocal calls
+            calls += 1
+            return partial_sums(s)
+
+        for module in (cli, expr, series):
+            if hasattr(module, "partial_sums"):
+                monkeypatch.setattr(module, "partial_sums", counting)
+        assert run_cli("sum", "n") == (0, "verdict: UnboundedDivergent\nvalue: 1 / 2 * n * n + 1 / 2 * n [Infinite]\n")
+        assert calls == 1
+
     def test_oracle(self):
         code, text = run_cli("oracle", "--lambda", "2", "--field", "2", "--check", "galois")
         assert code == 0
@@ -192,7 +220,6 @@ class TestLongResults:
             + "".join(f" + ind({r} mod 1000) * n" for r in range(1, 1000))
             + " [Infinite]\n",
         ),
-        "n-to-the-512": (_squared("n", 9), " * ".join(["n"] * 512) + " [Infinite]\n"),
         "union-of-999-classes": (
             "ind(~(0 mod 1000))",
             "ind(" + "|".join(f"{r} mod 1000" for r in range(1, 1000)) + ") [Appreciable]\n",
@@ -312,6 +339,31 @@ class TestOverrideLimit:
     def test_sums_below_the_limit_evaluate(self):
         code, text = run_cli("eval", f"sum(n except {{{MAX_OVERRIDES - 1}: 1}})")
         assert code == 0 and text.endswith(" [Infinite]\n")
+
+
+class TestDegreeLimit:
+    # (n+1) squared seven times, minus 3*n + 2, has degree 128; n squared
+    # nine times has degree 512; and the partial sums of n^MAX_DEGREE have
+    # degree MAX_DEGREE + 1.
+    PROBES = {
+        "classify-degree-128": ["classify", _squared("n+1", 7) + " - (3*n + 2)"],
+        "sum-degree-128": ["sum", _squared("n+1", 7) + " - (3*n + 2)"],
+        "eval-n-to-the-512": ["eval", _squared("n", 9)],
+        "sum-past-the-limit": ["sum", "*".join(["n"] * MAX_DEGREE)],
+    }
+
+    @pytest.mark.parametrize("argv", PROBES.values(), ids=PROBES.keys())
+    def test_one_error_line_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        assert run_cli(*argv) == (1, "error: DegreeTooLarge\n")
+        assert time.perf_counter() - start < 1
+        assert f"above the limit of {MAX_DEGREE}" in capsys.readouterr().err
+
+    def test_degrees_at_the_limit_evaluate(self):
+        power = " * ".join(["n"] * MAX_DEGREE)
+        assert run_cli("eval", power) == (0, power + " [Infinite]\n")
+        code, text = run_cli("sum", "*".join(["n"] * (MAX_DEGREE - 1)))
+        assert code == 0 and text.startswith("verdict: UnboundedDivergent\nvalue: ")
 
 
 class TestErrorDetail:

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from scan import horner, integer_coeffs, root_free_beyond
 
 from gscalars import exactnum
-from gscalars.errors import ZeroDenominator, ZeroPolynomial
+from gscalars.errors import DegreeTooLarge, ZeroDenominator, ZeroPolynomial
 from gscalars.exactnum import (
+    MAX_DEGREE,
     MINUS_INFINITY,
     PLUS_INFINITY,
     ExtendedRat,
@@ -138,6 +139,17 @@ class TestPoly:
         p = poly_from([rat(1, 2), -2, 0, rat(3, 7)])
         pts = [(n, p(n)) for n in range(4)]
         assert poly_interpolate(pts) == p
+
+    def test_degree_limit(self, monkeypatch):
+        power, x = poly_from([0] * MAX_DEGREE + [1]), Poly.identity()
+        assert (power * Poly.constant(3)).degree == MAX_DEGREE
+        assert poly_interpolate([(n, n) for n in range(MAX_DEGREE + 1)]) == x
+        # Refused before the result is built: Fraction is never called.
+        monkeypatch.setattr(exactnum, "Fraction", None)
+        with pytest.raises(DegreeTooLarge):
+            power * x
+        with pytest.raises(DegreeTooLarge):
+            poly_interpolate([(n, n) for n in range(MAX_DEGREE + 2)])
 
 
 def fraction_gcd(a: Poly, b: Poly) -> Poly:

@@ -1,5 +1,7 @@
-"""Byte-for-byte gate on `gsc` stdout: `check all` at a fixed seed and the
-oracle reports for every configuration that runs in seconds.
+"""Byte-for-byte gate on `gsc` stdout: `check all` at a fixed seed, the
+oracle reports for every configuration that runs in seconds, and a
+transcript of fixed `eval`/`classify`/`eq`/`sum` queries under three
+filters.
 
 The files under tests/golden/ are the reference.  Regenerate them only when
 an output change is intended, from the repository root:
@@ -10,9 +12,12 @@ an output change is intended, from the repository root:
         PYTHONPATH=src python3 -m gscalars.cli oracle \
             --lambda "${c%-*}" --field "${c#*-}" > "tests/golden/oracle-$c.txt"
     done
+    PYTHONPATH=src python3 tests/test_golden.py > tests/golden/queries.txt
 """
 
 import io
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,19 +26,64 @@ from gscalars.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-CASES = [
-    ("check-all-seed1729", ["check", "all"]),
-    *(
-        (f"oracle-{lam}-{p}", ["oracle", "--lambda", str(lam), "--field", str(p)])
-        for lam, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
-    ),
+FILTERS = ["frechet", "frechet:0 mod 2", "principal:0 mod 2"]
+
+# (subcommand, operands): every one runs under each of FILTERS.
+QUERIES = [
+    *(("eval", [e]) for e in [
+        "n", "1/(n+1)", "shift(n*n)", "invert(n + 1)", "le(1/(n+1), 0)", "class(n*ind(1 mod 2))",
+        "st(1/(n+1))", "st(2 + 1/(n+1))", "st(n)", "st(ind(0 mod 2))", "st(n*ind(1 mod 2))",
+        "st(0 except {0: 7})", "limit(1/(n+1))", "limit(3 except {0: 5})", "limit(ind(0 mod 2))",
+        "limit(n)", "sum(1)", "sum(ind(0 mod 2) - ind(1 mod 2))", "sum(0 except {0: 1/2, 2: 1/3})",
+        "st(sum(0 except {0: 1/2, 2: 1/3}))", "limit(sum(n))",
+    ]),
+    *(("classify", [e]) for e in [
+        "n", "1/(n+1)", "ind(0 mod 2)", "n*ind(0 mod 2)", "0 except {0: 7}", "st(1/(n+1)) + n",
+        "sum(ind(0 mod 2) - ind(1 mod 2))",
+    ]),
+    *(("eq", pair) for pair in [
+        ["sum(1)", "n + 1"], ["shift(n) - n", "1"], ["ind(0 mod 2)", "1"], ["st(2 + 1/(n+1))", "2"],
+        ["limit(3 except {0: 5})", "3"],
+    ]),
+    *(("sum", [e]) for e in [
+        "0", "1", "n", "ind(0 mod 2) - ind(1 mod 2)", "0 except {0: 1/2, 2: 1/3}", "ind(0 mod 3)",
+        "n*n - 3*n + 2", "1/(n+1)", "st(1/(n+1))",
+    ]),
 ]
 
 
-@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_stdout_matches_golden(name, argv, monkeypatch):
-    monkeypatch.setenv("GSC_SEED", "1729")
+def query_transcript() -> str:
+    """Each query as `$ gsc ...`, then its stdout and `exit <code>`."""
     buf = io.StringIO()
-    code = main(argv, out=buf)
-    assert code == 0
-    assert buf.getvalue().encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    for command, operands in QUERIES:
+        for filt in FILTERS:
+            argv = [command, f"--filter={filt}", "--", *operands]
+            print("$ gsc " + shlex.join(argv), file=buf)
+            print(f"exit {main(argv, out=buf)}", file=buf)
+    return buf.getvalue()
+
+
+def stdout_of(argv) -> str:
+    buf = io.StringIO()
+    assert main(argv, out=buf) == 0
+    return buf.getvalue()
+
+
+CASES = [
+    ("check-all-seed1729", lambda: stdout_of(["check", "all"])),
+    *(
+        (f"oracle-{lam}-{p}", lambda lam=lam, p=p: stdout_of(["oracle", "--lambda", str(lam), "--field", str(p)]))
+        for lam, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+    ),
+    ("queries", query_transcript),
+]
+
+
+@pytest.mark.parametrize("name,produce", CASES, ids=[name for name, _ in CASES])
+def test_stdout_matches_golden(name, produce, monkeypatch):
+    monkeypatch.setenv("GSC_SEED", "1729")
+    assert produce().encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    sys.stdout.write(query_transcript())

@@ -7,17 +7,10 @@ from hypothesis import given, strategies as st
 
 from gscalars.errors import NonPolynomialTerms
 from gscalars.exactnum import Poly, RatFun, rat
-from gscalars.quotient import Classification, classify, embed, scalar_eq, standard_part
+from gscalars.quotient import Classification, Scalar, classify, embed, scalar_eq, standard_part
 from gscalars.sampling import random_poly_rseq
-from gscalars.series import (
-    SeriesVerdict,
-    banach_bounds_check,
-    classify_series,
-    generalized_sum,
-    partial_sums,
-    shift_invariance_impossibility,
-)
-from gscalars.seqrep import RSeq, indicator, make_constant, make_identity
+from gscalars.series import banach_bounds_check, partial_sums, shift_invariance_impossibility
+from gscalars.seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 FRECHET = FilterDescriptor.frechet()
@@ -133,52 +126,40 @@ class TestPartialSums:
 
 class TestClassifySeries:
     def test_zero_series(self):
-        assert classify_series(make_constant(0)) == SeriesVerdict.convergent_sum(0)
+        assert partial_sums(make_constant(0)).classify_bounded() == BSeqVerdict.convergent(0)
 
     def test_ones_diverge_unboundedly(self):
-        assert classify_series(make_constant(1)) == SeriesVerdict.unbounded_divergent()
+        assert partial_sums(make_constant(1)).classify_bounded() == BSeqVerdict.unbounded()
 
     def test_alternating_is_bounded_divergent(self):
-        assert classify_series(alternating()) == SeriesVerdict.bounded_divergent()
+        assert partial_sums(alternating()).classify_bounded() == BSeqVerdict.bounded_divergent()
 
     def test_eventually_zero_series_converges(self):
         s = RSeq(1, [RatFun.constant(0)], {0: rat(2), 3: rat(-5)})
-        assert classify_series(s) == SeriesVerdict.convergent_sum(-3)
-
-    def test_trichotomy_matches_partial_sum_verdict(self):
-        rng = random.Random(167)
-        kinds = {
-            "Convergent": SeriesVerdict.CONVERGENT_SUM,
-            "BoundedDivergent": SeriesVerdict.BOUNDED_DIVERGENT,
-            "Unbounded": SeriesVerdict.UNBOUNDED_DIVERGENT,
-        }
-        for _ in range(15):
-            s = random_poly_rseq(rng, 3, 2)
-            verdict = classify_series(s)
-            bounded = partial_sums(s).classify_bounded()
-            assert verdict.kind == kinds[bounded.kind]
+        assert partial_sums(s).classify_bounded() == BSeqVerdict.convergent(-3)
 
 
 class TestGeneralizedSum:
     def test_sum_of_ones_is_infinite(self):
-        a = generalized_sum(make_constant(1), FRECHET)
+        a = Scalar(partial_sums(make_constant(1)), FRECHET)
         assert classify(a) is Classification.INFINITE
 
     def test_sum_of_zero(self):
-        a = generalized_sum(make_constant(0), FRECHET)
+        a = Scalar(partial_sums(make_constant(0)), FRECHET)
         assert scalar_eq(a, embed(0, FRECHET))
 
     def test_alternating_sum_is_even_indicator_class(self):
-        a = generalized_sum(alternating(), FRECHET)
+        a = Scalar(partial_sums(alternating()), FRECHET)
         assert a.rep == indicator(SetDescriptor.evens())
         assert not scalar_eq(a, embed(0, FRECHET))
-        assert classify_series(alternating()) == SeriesVerdict.bounded_divergent()
+        assert a.rep.classify_bounded() == BSeqVerdict.bounded_divergent()
 
     def test_convergent_sum_has_matching_standard_part(self):
         s = RSeq(1, [RatFun.constant(0)], {0: rat(1, 2), 2: rat(1, 3)})
-        verdict = classify_series(s)
-        assert verdict.kind == SeriesVerdict.CONVERGENT_SUM
-        assert standard_part(generalized_sum(s, FRECHET)) == verdict.value == rat(5, 6)
+        sums = partial_sums(s)
+        verdict = sums.classify_bounded()
+        assert verdict.kind == BSeqVerdict.CONVERGENT
+        assert standard_part(Scalar(sums, FRECHET)) == verdict.limit == rat(5, 6)
 
     def test_convergent_series_agree_with_limit_functional(self):
         # polynomial-branch series converge exactly when the terms have
@@ -187,23 +168,24 @@ class TestGeneralizedSum:
         for _ in range(20):
             terms = {rng.randint(0, 20): rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))}
             s = RSeq(1, [RatFun.constant(0)], terms)
-            verdict = classify_series(s)
-            assert verdict.kind == SeriesVerdict.CONVERGENT_SUM
-            assert verdict.value == sum(s.exceptions.values(), Fraction(0))
-            assert standard_part(generalized_sum(s, FRECHET)) == verdict.value
+            sums = partial_sums(s)
+            verdict = sums.classify_bounded()
+            assert verdict.kind == BSeqVerdict.CONVERGENT
+            assert verdict.limit == sum(s.exceptions.values(), Fraction(0))
+            assert standard_part(Scalar(sums, FRECHET)) == verdict.limit
 
     def test_linearity(self):
         rng = random.Random(173)
         for _ in range(15):
             s = random_poly_rseq(rng, 3, 2)
             t = random_poly_rseq(rng, 3, 2)
-            lhs = generalized_sum(s + t, FRECHET)
-            rhs = generalized_sum(s, FRECHET) + generalized_sum(t, FRECHET)
+            lhs = Scalar(partial_sums(s + t), FRECHET)
+            rhs = Scalar(partial_sums(s), FRECHET) + Scalar(partial_sums(t), FRECHET)
             assert scalar_eq(lhs, rhs)
             c = rat(rng.randint(-6, 6), rng.randint(1, 4))
             assert scalar_eq(
-                generalized_sum(s.scale(c), FRECHET),
-                generalized_sum(s, FRECHET).scale(c),
+                Scalar(partial_sums(s.scale(c)), FRECHET),
+                Scalar(partial_sums(s), FRECHET).scale(c),
             )
 
 
@@ -215,8 +197,6 @@ class TestImpossibilityChain:
         assert any(line.startswith("CONCLUSION") for line in report.lines)
 
     def test_specific_steps(self):
-        from gscalars.quotient import Scalar
-
         nu = make_identity()
         assert nu.shift() - nu == make_constant(1)
         assert (nu.shift() - nu).limit() == 1

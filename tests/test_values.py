@@ -10,7 +10,6 @@ from gscalars.errors import InvalidFilter
 from gscalars.exactnum import ExtendedRat, Poly, RatFun, rat
 from gscalars.quotient import Scalar
 from gscalars.seqrep import BSeqVerdict, RSeq
-from gscalars.series import SeriesVerdict
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 # (class, two constructions of the same value, a field to assign, compares by value)
@@ -26,8 +25,6 @@ VALUES = [
      lambda: RSeq(1, [RatFun.identity()], {0: 5}), "exceptions", True),
     (BSeqVerdict, lambda: BSeqVerdict.convergent(rat(1, 2)), lambda: BSeqVerdict("Convergent", rat(1, 2)),
      "limit", True),
-    (SeriesVerdict, lambda: SeriesVerdict.convergent_sum(rat(5, 6)),
-     lambda: SeriesVerdict("ConvergentSum", rat(5, 6)), "value", True),
     (Scalar, lambda: Scalar(RSeq(1, [RatFun.identity()]), FilterDescriptor.frechet()),
      lambda: Scalar(RSeq(1, [RatFun.identity()]), FilterDescriptor.frechet()), "rep", False),
 ]
