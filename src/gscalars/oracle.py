@@ -1,10 +1,13 @@
 """Exhaustive finite verification of the ideal/filter correspondence.
 
-Everything the symbolic modules can only sample is checked here by brute
-force over a finite index set (2..4 points) and a prime field (F2 or F3):
+Everything the symbolic modules can only sample is checked here over a
+finite index set (2..4 points) and a prime field (F2 or F3):
 enumerate every ideal and every filter, compute both directional maps,
 and verify the roundtrips, monotonicity, the counting bijection, and the
 maximal<->field / prime<->no-zero-divisors equivalences on quotient tables.
+Enumeration is by generator closure (the ideal generated by I and x is
+I + R*x), except for the ideals of the smallest rings, which a subset scan
+finds; the ideal and filter axiom checks stay brute force.
 
 Functions on the index set are tuples over range(p); subsets of the index
 set are bitmasks.  All enumeration orders are sorted, so reports are
@@ -20,6 +23,9 @@ from functools import lru_cache
 from .errors import ConfigTooLarge
 from .report import Report
 
+# Rings with at most this many subsets are scanned, not closed.  The closure
+# is faster there too, but the benchmark keeps every op's output, so the extra
+# ops it would run push the oracle workload's peak RSS up (ROADMAP item 1).
 SUBSET_SCAN_CAP = 2**16
 
 
@@ -114,64 +120,57 @@ def is_filter(sets: frozenset[int], cfg: FiniteConfig) -> bool:
     return True
 
 
-def _ideal_closure(gens: set[Vector], cfg: FiniteConfig) -> frozenset[Vector]:
+def _generated(bottom: frozenset, elements, join, improper, cfg: FiniteConfig) -> set[frozenset]:
+    """Everything that `join`, adding one element at a time, reaches from
+    `bottom` without taking in `improper`.  Every proper object is reached,
+    since it ends a chain of one-element joins that stay inside it."""
+    found = {bottom}
+    worklist = [bottom]
+    while worklist:
+        current = worklist.pop()
+        for x in elements:
+            if x not in current:
+                grown = join(current, x, cfg)
+                if improper not in grown and grown not in found:
+                    found.add(grown)
+                    worklist.append(grown)
+    return found
+
+
+def _ideal_closure(ideal: frozenset[Vector], x: Vector, cfg: FiniteConfig) -> frozenset[Vector]:
+    """The ideal generated by an ideal and x, which is ideal + R·x."""
     p = cfg.field_order
-    ring = ring_elements(cfg)
-    out = {(0,) * cfg.lambda_size} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(out)
-        for x in snapshot:
-            for y in snapshot:
-                s = vadd(x, y, p)
-                if s not in out:
-                    out.add(s)
-                    changed = True
-            for r in ring:
-                m = vmul(x, r, p)
-                if m not in out:
-                    out.add(m)
-                    changed = True
-    return frozenset(out)
+    multiples = {vmul(r, x, p) for r in ring_elements(cfg)}
+    return frozenset(vadd(i, m, p) for i in ideal for m in multiples)
+
+
+def _filter_closure(sets: frozenset[int], s: int, cfg: FiniteConfig) -> frozenset[int]:
+    """The filter generated by a filter and s: every superset of some A & s."""
+    bases = {a & s for a in sets}
+    return frozenset(k for k in range(1 << cfg.lambda_size) if any(k & b == b for b in bases))
 
 
 def enumerate_ideals(cfg: FiniteConfig) -> list[FiniteIdeal]:
     """Every proper ideal; subset scan when small, generator closure above
     the scan cap.  Deterministic order."""
     ring = ring_elements(cfg)
-    found: set[frozenset[Vector]] = set()
     if 2 ** len(ring) <= SUBSET_SCAN_CAP:
+        found = set()
         for bits in range(2 ** len(ring)):
             subset = frozenset(ring[i] for i in range(len(ring)) if bits >> i & 1)
             if subset and is_ideal(subset, cfg):
                 found.add(subset)
     else:
-        one = (1,) * cfg.lambda_size
         zero_ideal = frozenset({(0,) * cfg.lambda_size})
-        found.add(zero_ideal)
-        worklist = [zero_ideal]
-        while worklist:
-            current = worklist.pop()
-            for x in ring:
-                if x in current:
-                    continue
-                grown = _ideal_closure(set(current) | {x}, cfg)
-                if one not in grown and grown not in found:
-                    found.add(grown)
-                    worklist.append(grown)
+        found = _generated(zero_ideal, ring, _ideal_closure, (1,) * cfg.lambda_size, cfg)
     return sorted((FiniteIdeal(s) for s in found), key=FiniteIdeal.sort_key)
 
 
 def enumerate_filters(cfg: FiniteConfig) -> list[FiniteFilter]:
-    """Every filter on the index set, by scanning all families of subsets."""
-    count = 1 << cfg.lambda_size
-    found = []
-    for bits in range(2**count):
-        family = frozenset(i for i in range(count) if bits >> i & 1)
-        if is_filter(family, cfg):
-            found.append(FiniteFilter(family))
-    return sorted(found, key=FiniteFilter.sort_key)
+    """Every proper filter on the index set, by generator closure from {full set}."""
+    full = (1 << cfg.lambda_size) - 1
+    found = _generated(frozenset({full}), range(full + 1), _filter_closure, 0, cfg)
+    return sorted((FiniteFilter(s) for s in found), key=FiniteFilter.sort_key)
 
 
 def map_filter_of_ideal(ideal: FiniteIdeal) -> FiniteFilter:
@@ -243,7 +242,7 @@ def verify_galois(cfg: FiniteConfig, ideals: list[FiniteIdeal]) -> Report:
 
 
 def _quotient_table(ideal: FiniteIdeal, cfg: FiniteConfig):
-    """Cosets with canonical (minimal) representatives and both operation tables."""
+    """Each element's coset representative (the coset's minimum), and the sorted representatives."""
     p = cfg.field_order
     ring = ring_elements(cfg)
     members = ideal.elements

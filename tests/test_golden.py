@@ -8,7 +8,7 @@ an output change is intended, from the repository root:
 
     GSC_SEED=1729 PYTHONPATH=src python3 -m gscalars.cli check all \
         > tests/golden/check-all-seed1729.txt
-    for c in 2-2 2-3 3-2 3-3 4-2; do
+    for c in 2-2 2-3 3-2 3-3 4-2 4-3; do
         PYTHONPATH=src python3 -m gscalars.cli oracle \
             --lambda "${c%-*}" --field "${c#*-}" > "tests/golden/oracle-$c.txt"
     done
@@ -73,7 +73,7 @@ CASES = [
     ("check-all-seed1729", lambda: stdout_of(["check", "all"])),
     *(
         (f"oracle-{lam}-{p}", lambda lam=lam, p=p: stdout_of(["oracle", "--lambda", str(lam), "--field", str(p)]))
-        for lam, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
+        for lam, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
     ),
     ("queries", query_transcript),
 ]

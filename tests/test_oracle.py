@@ -6,15 +6,15 @@ from gscalars import oracle
 from gscalars.errors import ConfigTooLarge
 from gscalars.oracle import (
     FiniteConfig,
+    FiniteFilter,
     FiniteIdeal,
     enumerate_filters,
     enumerate_ideals,
-    is_ideal,
+    is_filter,
     map_filter_of_ideal,
     map_ideal_of_filter,
     ring_elements,
     run_oracle,
-    vanishing_set,
     verify_galois,
     verify_maximal_prime,
     zero_mask,
@@ -43,7 +43,8 @@ class TestEnumerateIdeals:
         assert len(ideals) == 7
 
     def test_every_ideal_is_a_vanishing_ideal(self):
-        for cfg in (FiniteConfig(2, 2), FiniteConfig(3, 2), FiniteConfig(2, 3)):
+        # 3/3 exceeds the subset-scan cap and uses the closure.
+        for cfg in (FiniteConfig(2, 2), FiniteConfig(3, 2), FiniteConfig(2, 3), FiniteConfig(3, 3)):
             ideals = enumerate_ideals(cfg)
             ring = ring_elements(cfg)
             full = (1 << cfg.lambda_size) - 1
@@ -54,17 +55,12 @@ class TestEnumerateIdeals:
             found = {i.elements for i in ideals}
             assert found == set(candidates.values())
 
-    def test_closure_path_matches_scan(self):
-        # F3 over 3 points exceeds the subset-scan cap and uses closure;
-        # its ideal family must still be exactly the vanishing ideals.
-        cfg = FiniteConfig(3, 3)
-        ideals = enumerate_ideals(cfg)
-        assert len(ideals) == 7
-        for ideal in ideals:
-            assert is_ideal(ideal.elements, cfg)
-            s = vanishing_set(ideal, cfg)
-            assert s != 0
-            assert len(ideal.elements) == 3 ** (3 - s.bit_count())
+    def test_closure_path_matches_scan(self, monkeypatch):
+        # Every config under the scan cap, enumerated both ways.
+        configs = [FiniteConfig(2, 2), FiniteConfig(2, 3), FiniteConfig(3, 2), FiniteConfig(4, 2)]
+        scanned = [enumerate_ideals(cfg) for cfg in configs]
+        monkeypatch.setattr(oracle, "SUBSET_SCAN_CAP", 0)
+        assert [enumerate_ideals(cfg) for cfg in configs] == scanned
 
     def test_deterministic(self):
         cfg = FiniteConfig(3, 2)
@@ -75,6 +71,15 @@ class TestEnumerateFilters:
     def test_counts(self):
         assert len(enumerate_filters(FiniteConfig(2, 2))) == 3
         assert len(enumerate_filters(FiniteConfig(3, 2))) == 7
+
+    @pytest.mark.parametrize("lam", [2, 3, 4])
+    def test_closure_matches_family_scan(self, lam):
+        # The reference: every family of subsets that passes the axiom check.
+        cfg = FiniteConfig(lam, 2)
+        count = 1 << lam
+        families = (frozenset(i for i in range(count) if bits >> i & 1) for bits in range(2**count))
+        scanned = sorted((FiniteFilter(f) for f in families if is_filter(f, cfg)), key=FiniteFilter.sort_key)
+        assert enumerate_filters(cfg) == scanned
 
     def test_principal_structure(self):
         for f in enumerate_filters(FiniteConfig(3, 2)):
