@@ -32,6 +32,14 @@ SERIES_VERDICTS = {
     BSeqVerdict.UNBOUNDED: "UnboundedDivergent",
 }
 
+# The subcommands that evaluate expressions under --filter: (name, help, operands).
+EXPRESSION_COMMANDS = (
+    ("eval", "evaluate an expression", ["expression"]),
+    ("classify", "classify a scalar expression", ["expression"]),
+    ("eq", "decide equality of two scalar expressions", ["left", "right"]),
+    ("sum", "series verdict and generalized value", ["expression"]),
+)
+
 
 def parse_filter_flag(text: str) -> FilterDescriptor:
     if text == "frechet":
@@ -90,27 +98,13 @@ def main(argv=None, out=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_filter_flag(p):
+    for name, help_text, operands in EXPRESSION_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand)
         p.add_argument("--filter", default="frechet", metavar="FILTER",
                        help="frechet (default), frechet:<set> (sets holding all but finitely many "
                             "points of <set>) or principal:<set> (supersets of <set>)")
-
-    p_eval = sub.add_parser("eval", help="evaluate an expression")
-    p_eval.add_argument("expression")
-    add_filter_flag(p_eval)
-
-    p_classify = sub.add_parser("classify", help="classify a scalar expression")
-    p_classify.add_argument("expression")
-    add_filter_flag(p_classify)
-
-    p_eq = sub.add_parser("eq", help="decide equality of two scalar expressions")
-    p_eq.add_argument("left")
-    p_eq.add_argument("right")
-    add_filter_flag(p_eq)
-
-    p_sum = sub.add_parser("sum", help="series verdict and generalized value")
-    p_sum.add_argument("expression")
-    add_filter_flag(p_sum)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive finite verification")
     p_oracle.add_argument("--lambda", dest="lambda_size", type=int, default=3)

@@ -15,6 +15,7 @@ root isolation evaluates integer polynomials at integer points.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,12 +43,10 @@ def rat(numerator, denominator=1) -> Rat:
     return Fraction(numerator, denominator)
 
 
-def _sign(q) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
+def sign(q: Rat) -> int:
+    """-1, 0 or 1 as q is negative, zero or positive."""
+    n = q.numerator  # integer comparisons are much cheaper than Fraction ones
+    return (n > 0) - (n < 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,19 +264,29 @@ class RatFun:
     # The zero function is canonical 0/1, so a zero operand is answered
     # without the gcd work of a new canonical form.
 
+    def _sum(self, other: "RatFun", op) -> "RatFun":
+        """op(self, other) for op add or sub, built over the lcm of the denominators."""
+        if self.den == other.den:
+            return RatFun(op(self.num, other.num), self.den)
+        # The product of the denominators is their lcm unless they share a factor.
+        mine, theirs = other.den, self.den
+        if mine.degree > 0 and theirs.degree > 0 and (g := poly_gcd(mine, theirs)).degree > 0:
+            mine, theirs = mine // g, theirs // g
+        return RatFun(op(self.num * mine, other.num * theirs), self.den * mine)
+
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._sum(other, operator.add)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         if other.is_zero():
             return self
         if self.is_zero():
             return -other
-        return RatFun(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._sum(other, operator.sub)
 
     def __mul__(self, other: "RatFun") -> "RatFun":
         if self.is_zero():
@@ -519,5 +528,5 @@ def eventual_sign(f: RatFun) -> tuple[int, int]:
     if f.is_zero():
         return 0, 0
     breaks = sign_breaks(f)
-    s = _sign(f.num.lead) * _sign(f.den.lead)
+    s = sign(f.num.lead) * sign(f.den.lead)
     return s, breaks[-1] + 1 if breaks else 0

@@ -595,10 +595,14 @@ def _ratfun_expr(br: RatFun):
     return BinOp("*", num, inverse)
 
 
+_ZERO_ONE = (RatFun.constant(0), RatFun.constant(1))
+
+
 def rseq_to_expr(x: RSeq):
-    """Canonical AST that re-evaluates to the class of x under any filter."""
-    support = x.zero_set().complement()
-    if indicator(support) == x:
+    """Canonical AST that re-evaluates to the class of x under any filter;
+    a 0/1 sequence renders as the indicator of its support."""
+    if all(br in _ZERO_ONE for br in x.branches) and all(v in (0, 1) for v in x.exceptions.values()):
+        support = x.sign_set({1})
         return Ind(set_to_expr(support)) if not support.is_empty() else Lit(0)
     terms = []
     for r, br in enumerate(x.branches):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivisor, ZeroScalar
-from .exactnum import Rat, RatFun, limit_at_infinity, sign_breaks
+from .exactnum import Rat, RatFun, limit_at_infinity
 from .galois import in_ideal
 from .report import Report
 from .seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
@@ -92,35 +92,9 @@ def scalar_eq(a: Scalar, b: Scalar) -> bool:
 
 
 def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
-    """Exactly { n | a(n) <= b(n) } for the canonical representatives.
-
-    Each branch of a - b keeps one sign on its class between consecutive
-    sign breaks, so one probe decides a whole gap: the class points of a gap
-    whose sign differs from the branch's eventual sign become one segment of
-    flips against the eventual pattern, without being evaluated or listed.
-    Only break points and exceptions are evaluated one by one.
-    """
+    """Exactly { n | a(n) <= b(n) } for the canonical representatives."""
     a._same_algebra(b)
-    d = a.rep - b.rep
-    m = d.modulus
-    residues = []
-    runs = []
-    points = set(d.exceptions)
-    for r, br in enumerate(d.branches):
-        # Past the last break the sign is that of the leading coefficients.
-        eventual = br.num.lead * br.den.lead <= 0
-        if eventual:
-            residues.append(r)
-        lo = 0
-        for c in sign_breaks(br):
-            first = lo + (r - lo) % m
-            if first < c and (br(first) < 0) != eventual:
-                runs.append((first, c, m, 1 << r))
-            if c % m == r:
-                points.add(c)
-            lo = c + 1
-    plus = [n for n in points if d.eval(n) <= 0]
-    return SetDescriptor(m, residues, plus=plus, minus=points.difference(plus), flips=runs)
+    return (a.rep - b.rep).sign_set({-1, 0})
 
 
 def leq(a: Scalar, b: Scalar) -> bool:

@@ -10,6 +10,7 @@ equality means pointwise equality.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from .exactnum import (
     RatFun,
     integer_roots_nonneg,
     limit_at_infinity,
+    sign,
     sign_breaks,
 )
 from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
@@ -143,24 +145,21 @@ class RSeq:
 
     # -- ring operations -----------------------------------------------------
 
-    def _merge(self, other: "RSeq", fun_op, val_op) -> "RSeq":
+    def _merge(self, other: "RSeq", op) -> "RSeq":
+        """op (add, sub or mul) applied branch by branch and at every override."""
         m = lcm(self.modulus, other.modulus)
-        branches = [
-            fun_op(self.branches[r % self.modulus], other.branches[r % other.modulus])
-            for r in range(m)
-        ]
+        branches = [op(self.branches[r % self.modulus], other.branches[r % other.modulus]) for r in range(m)]
         keys = set(self.exceptions) | set(other.exceptions)
-        exceptions = {n: val_op(self.eval(n), other.eval(n)) for n in keys}
-        return RSeq(m, branches, exceptions)
+        return RSeq(m, branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
 
     def __add__(self, other: "RSeq") -> "RSeq":
-        return self._merge(other, lambda f, g: f + g, lambda a, b: a + b)
+        return self._merge(other, operator.add)
 
     def __sub__(self, other: "RSeq") -> "RSeq":
-        return self._merge(other, lambda f, g: f - g, lambda a, b: a - b)
+        return self._merge(other, operator.sub)
 
     def __mul__(self, other: "RSeq") -> "RSeq":
-        return self._merge(other, lambda f, g: f * g, lambda a, b: a * b)
+        return self._merge(other, operator.mul)
 
     def __neg__(self) -> "RSeq":
         return RSeq(
@@ -200,18 +199,35 @@ class RSeq:
         exceptions = {n - 1: v for n, v in self.exceptions.items() if n >= 1}
         return RSeq(m, branches, exceptions)
 
+    def sign_set(self, signs) -> SetDescriptor:
+        """Exactly { n | sign(self(n)) in signs } as a set descriptor.
+
+        A branch keeps one nonzero sign on its class between consecutive sign
+        breaks, and that of its leading coefficient past the last one, so one
+        probe decides a gap, which differs from the tail by one segment of
+        flips or not at all.  Only break points and exceptions are evaluated.
+        """
+        m = self.modulus
+        probe = (1 in signs) != (-1 in signs)  # else every gap agrees with the tail
+        residues, runs, points = [], [], set(self.exceptions)
+        for r, br in enumerate(self.branches):
+            eventual = sign(br.num.lead) in signs  # the denominator is monic
+            if eventual:
+                residues.append(r)
+            lo = 0
+            for c in sign_breaks(br):
+                first = lo + (r - lo) % m
+                if probe and first < c and (sign(br(first)) in signs) != eventual:
+                    runs.append((first, c, m, 1 << r))
+                if c % m == r:
+                    points.add(c)
+                lo = c + 1
+        plus = [n for n in points if sign(self.eval(n)) in signs]
+        return SetDescriptor(m, residues, plus=plus, minus=points.difference(plus), flips=runs)
+
     def zero_set(self) -> SetDescriptor:
         """Exactly { n | self(n) = 0 } as a set descriptor."""
-        m = self.modulus
-        residues = {r for r, br in enumerate(self.branches) if br.is_zero()}
-        candidates = set(self.exceptions)
-        for r, br in enumerate(self.branches):
-            if not br.is_zero():
-                for n in integer_roots_nonneg(br.num):
-                    if n % m == r:
-                        candidates.add(n)
-        plus = [n for n in candidates if self.eval(n) == 0]
-        return SetDescriptor(m, residues, plus=plus, minus=candidates.difference(plus))
+        return self.sign_set({0})
 
     # -- analysis -------------------------------------------------------------
 

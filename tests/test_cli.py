@@ -12,7 +12,7 @@ from gscalars.cli import main, parse_filter_flag
 from gscalars.errors import Error
 from gscalars.exactnum import MAX_DEGREE
 from gscalars.expr import MAX_DEPTH, parse, render
-from gscalars.seqrep import MAX_OVERRIDES
+from gscalars.seqrep import MAX_OVERRIDES, RSeq
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -129,6 +129,19 @@ class TestSubcommands:
             if hasattr(module, "partial_sums"):
                 monkeypatch.setattr(module, "partial_sums", counting)
         assert run_cli("sum", "n") == (0, "verdict: UnboundedDivergent\nvalue: 1 / 2 * n * n + 1 / 2 * n [Infinite]\n")
+        assert calls == 1
+
+    def test_a_rendered_value_computes_one_zero_set(self, monkeypatch):
+        calls = 0
+        zero_set = RSeq.zero_set
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return zero_set(x)
+
+        monkeypatch.setattr(RSeq, "zero_set", counting)
+        assert run_cli("eval", "n*n - 3*n + 2") == (0, "n * n - 3 * n + 2 [Infinite]\n")
         assert calls == 1
 
     def test_oracle(self):
@@ -358,6 +371,17 @@ class TestDegreeLimit:
         assert run_cli(*argv) == (1, "error: DegreeTooLarge\n")
         assert time.perf_counter() - start < 1
         assert f"above the limit of {MAX_DEGREE}" in capsys.readouterr().err
+
+    # p = n^13 + 1: a sum over the cross-multiplied denominators would
+    # have degree 26 or 27, over their lcm it has degree 13 or 14.
+    P = "n*n*n*n*n*n*n*n*n*n*n*n*n + 1"
+
+    def test_equal_denominators_add_numerators(self):
+        assert run_cli("eval", f"invert({self.P}) - invert({self.P})") == (0, "0 [Zero]\n")
+
+    def test_sums_are_built_over_the_lcm_of_denominators(self):
+        code, text = run_cli("eval", f"invert(({self.P}) * (n + 2)) - invert({self.P})")
+        assert code == 0 and text.startswith("-1 * invert(") and text.endswith(" [Infinitesimal]\n")
 
     def test_degrees_at_the_limit_evaluate(self):
         power = " * ".join(["n"] * MAX_DEGREE)

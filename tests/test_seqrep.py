@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -181,11 +182,16 @@ class TestZeroSet:
 
     def test_matches_window(self):
         rng = random.Random(29)
+        subsets = [set(s) for k in (1, 2, 3) for s in itertools.combinations((-1, 0, 1), k)]
         for _ in range(30):
             x = random_rseq(rng)
             z = x.zero_set()
+            signs = [(x.eval(n) > 0) - (x.eval(n) < 0) for n in range(WINDOW)]
             for n in range(WINDOW):
                 assert z.member(n) == (x.eval(n) == 0)
+            for subset in subsets:
+                s = x.sign_set(subset)
+                assert [s.member(n) for n in range(WINDOW)] == [v in subset for v in signs]
 
     def test_algebraic_containments(self):
         rng = random.Random(31)
