@@ -15,7 +15,7 @@ from .sets_filters import FilterDescriptor, SetDescriptor
 
 def in_ideal(x: RSeq, f: FilterDescriptor) -> bool:
     """Membership in the ideal { x | zero_set(x) in f } induced by the filter."""
-    return f.contains(x.zero_set())
+    return f.holds(x, {0})
 
 
 def realize_zero_set(j: SetDescriptor) -> RSeq:

@@ -70,7 +70,7 @@ class Scalar:
         return Scalar(self.rep.scale(c), self.filter)
 
     def is_zero(self) -> bool:
-        return self.filter.contains(self.rep.zero_set())
+        return in_ideal(self.rep, self.filter)
 
     def __repr__(self) -> str:
         return f"Scalar({self.rep!r} @ {self.filter.render()})"
@@ -98,7 +98,11 @@ def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
 
 
 def leq(a: Scalar, b: Scalar) -> bool:
-    """The filter-lifted order: the agreement set of a <= b is in the filter."""
+    """The filter-lifted order: the agreement set of a <= b is in the filter,
+    which a cofinite filter decides from the branch tails alone."""
+    if a.filter.cofinite:
+        a._same_algebra(b)
+        return a.filter.holds(a.rep - b.rep, {-1, 0})
     return a.filter.contains(le_set(a, b))
 
 
@@ -107,7 +111,9 @@ def try_invert(a: Scalar) -> Scalar:
 
     Invertible exactly when the complement of the representative's zero set
     belongs to the filter; otherwise the indicator of the zero set is a
-    nonzero annihilator and is raised as the ZeroDivisor witness.
+    nonzero annihilator and is raised as the ZeroDivisor witness.  Both, and
+    the overrides below, need every point of the zero set, so the zero test
+    is made here on the full set rather than through `in_ideal`.
     """
     z = a.rep.zero_set()
     if a.filter.contains(z):

@@ -1,7 +1,8 @@
 """Seeded random generators for descriptors, sequences, and rationals.
 
 Every generator takes an explicit random.Random so the verification suites
-are reproducible: the CLI seeds them from GSC_SEED.
+are reproducible: the CLI seeds them from GSC_SEED.  The generators that
+only the tests draw from live in `tests/gen.py`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .exactnum import Poly, RatFun
-from .seqrep import RSeq, indicator
+from .seqrep import RSeq
 from .sets_filters import FilterDescriptor, SetDescriptor
 
 # The points a random set adds to or removes from its periodic part lie in 0..POINT_SPAN.
@@ -33,10 +34,6 @@ def safe_denominator(rng: random.Random, max_degree: int = 2) -> Poly:
     for _ in range(rng.randint(0, max_degree)):
         den = den * Poly((Fraction(rng.randint(1, 9)), Fraction(1)))
     return den
-
-
-def random_ratfun(rng: random.Random, max_degree: int = 3) -> RatFun:
-    return RatFun(random_poly(rng, max_degree), safe_denominator(rng))
 
 
 def random_set(rng: random.Random, max_modulus: int = 6) -> SetDescriptor:
@@ -78,21 +75,6 @@ def sample_sets(rng: random.Random, count: int, f: FilterDescriptor | None = Non
     return out
 
 
-def random_rseq(rng: random.Random, max_modulus: int = 4, max_degree: int = 2) -> RSeq:
-    m = rng.randint(1, max_modulus)
-    branches = [random_ratfun(rng, max_degree) for _ in range(m)]
-    exceptions = {rng.randint(0, 20): random_rat(rng) for _ in range(rng.randint(0, 2))}
-    return RSeq(m, branches, exceptions)
-
-
-def random_poly_rseq(rng: random.Random, max_modulus: int = 4, max_degree: int = 3) -> RSeq:
-    """Polynomial branches only: valid input for partial summation."""
-    m = rng.randint(1, max_modulus)
-    branches = [RatFun(random_poly(rng, max_degree)) for _ in range(m)]
-    exceptions = {rng.randint(0, 15): random_rat(rng) for _ in range(rng.randint(0, 2))}
-    return RSeq(m, branches, exceptions)
-
-
 def random_convergent_rseq(rng: random.Random, max_modulus: int = 4) -> RSeq:
     """All branch limits equal: a convergent representable sequence."""
     m = rng.randint(1, max_modulus)
@@ -106,54 +88,3 @@ def random_convergent_rseq(rng: random.Random, max_modulus: int = 4) -> RSeq:
         branches.append(RatFun(num, den) + RatFun.constant(limit))
     exceptions = {rng.randint(0, 20): random_rat(rng) for _ in range(rng.randint(0, 2))}
     return RSeq(m, branches, exceptions)
-
-
-def random_infinitesimal_rseq(rng: random.Random, max_modulus: int = 3) -> RSeq:
-    """Nonzero branches, every branch limit 0."""
-    m = rng.randint(1, max_modulus)
-    branches = []
-    for _ in range(m):
-        den = safe_denominator(rng, 2)
-        if den.degree == 0:
-            den = Poly((Fraction(rng.randint(1, 9)), Fraction(1)))
-        num = random_poly(rng, den.degree - 1)
-        if num.is_zero():
-            num = Poly.constant(rng.randint(1, 5))
-        branches.append(RatFun(num, den))
-    return RSeq(m, branches)
-
-
-def random_appreciable_rseq(rng: random.Random, max_modulus: int = 3) -> RSeq:
-    """Every branch limit finite and nonzero."""
-    m = rng.randint(1, max_modulus)
-    branches = []
-    for _ in range(m):
-        limit = Fraction(0)
-        while limit == 0:
-            limit = random_rat(rng)
-        den = safe_denominator(rng, 1)
-        num = random_poly(rng, max(den.degree - 1, 0)) if den.degree > 0 else Poly()
-        branches.append(RatFun(num, den) + RatFun.constant(limit))
-    return RSeq(m, branches)
-
-
-def random_infinite_rseq(rng: random.Random, max_modulus: int = 3) -> RSeq:
-    """Every branch limit +/- infinity."""
-    m = rng.randint(1, max_modulus)
-    branches = []
-    for _ in range(m):
-        degree = rng.randint(1, 3)
-        coeffs = [random_rat(rng) for _ in range(degree)]
-        lead = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6))
-        branches.append(RatFun(Poly([*coeffs, lead])))
-    return RSeq(m, branches)
-
-
-def random_ideal_member(rng: random.Random, f: FilterDescriptor) -> RSeq:
-    """A random sequence whose zero set the filter contains: it vanishes on
-    the base, except at a few points when the filter is cofinite."""
-    x = random_rseq(rng, max_modulus=2, max_degree=1) * indicator(f.base.complement())
-    if f.cofinite:
-        support = {rng.randint(0, 25) for _ in range(rng.randint(0, 4))}
-        x = x + RSeq(1, [RatFun.constant(0)], {n: random_rat(rng) for n in support})
-    return x

@@ -206,24 +206,37 @@ class RSeq:
         breaks, and that of its leading coefficient past the last one, so one
         probe decides a gap, which differs from the tail by one segment of
         flips or not at all.  Only break points and exceptions are evaluated.
+        When `signs` holds both or neither of -1 and 1, every gap agrees with
+        the tail, and only the numerator's natural roots and the exceptions
+        (among them every denominator root in the class) can deviate from it.
         """
         m = self.modulus
-        probe = (1 in signs) != (-1 in signs)  # else every gap agrees with the tail
+        probe = (1 in signs) != (-1 in signs)
         residues, runs, points = [], [], set(self.exceptions)
         for r, br in enumerate(self.branches):
             eventual = sign(br.num.lead) in signs  # the denominator is monic
             if eventual:
                 residues.append(r)
+            if not probe:
+                if br.num.degree > 0:
+                    points.update(n for n in integer_roots_nonneg(br.num) if n % m == r)
+                continue
             lo = 0
             for c in sign_breaks(br):
                 first = lo + (r - lo) % m
-                if probe and first < c and (sign(br(first)) in signs) != eventual:
+                if first < c and (sign(br(first)) in signs) != eventual:
                     runs.append((first, c, m, 1 << r))
                 if c % m == r:
                     points.add(c)
                 lo = c + 1
         plus = [n for n in points if sign(self.eval(n)) in signs]
         return SetDescriptor(m, residues, plus=plus, minus=points.difference(plus), flips=runs)
+
+    def sign_tail(self, signs) -> SetDescriptor:
+        """The periodic tail of `sign_set(signs)`, which differs from it at
+        finitely many points: the classes whose leading coefficient has a
+        sign in `signs`."""
+        return SetDescriptor(self.modulus, [r for r, br in enumerate(self.branches) if sign(br.num.lead) in signs])
 
     def zero_set(self) -> SetDescriptor:
         """Exactly { n | self(n) = 0 } as a set descriptor."""

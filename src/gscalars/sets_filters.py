@@ -467,6 +467,11 @@ class FilterDescriptor:
     def contains(self, j: SetDescriptor) -> bool:
         return j.superset_of(self.base, up_to_finite=self.cofinite)
 
+    def holds(self, x, signs) -> bool:
+        """Whether the filter contains { n | sign(x(n)) in signs } for a
+        sequence x; a cofinite filter reads only that set's tail."""
+        return self.contains(x.sign_tail(signs) if self.cofinite else x.sign_set(signs))
+
     def render(self) -> str:
         if self.cofinite and self.base.is_naturals():
             return "frechet"

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from gen import random_ideal_member, random_rseq
 
 from gscalars.exactnum import Poly, RatFun
 from gscalars.oracle import FiniteConfig, enumerate_ideals, verify_galois, verify_maximal_prime
@@ -24,7 +25,7 @@ from gscalars.quotient import (
     scalar_eq,
     try_invert,
 )
-from gscalars.sampling import random_convergent_rseq, random_ideal_member, random_rat, random_rseq
+from gscalars.sampling import random_convergent_rseq, random_rat
 from gscalars.errors import ZeroDivisor
 from gscalars.series import banach_bounds_check, partial_sums, shift_invariance_impossibility
 from gscalars.seqrep import RSeq, indicator, make_constant

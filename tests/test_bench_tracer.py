@@ -42,6 +42,7 @@ UNREACHED = {"exactnum.eventual_sign", "sets_filters.member"}
 COMMANDS = [
     ["eval", "invert(n*n - 3*n + 2 except {1: 1, 2: 1}) * ind(0 mod 2)"],
     ["eval", "le(n, 10)"],
+    ["eval", "le(n, 10)", "--filter=principal:{1,2}"],
     ["eval", "st(invert(n + 1) + 3)"],
     ["eq", "n*n", "n*n except {3: 0}"],
     ["sum", "n except {2: 0}"],

@@ -132,17 +132,35 @@ class TestSubcommands:
         assert calls == 1
 
     def test_a_rendered_value_computes_one_zero_set(self, monkeypatch):
+        # Under Frechet the zero test reads the branch tails and walks no
+        # sign set; under a principal filter it walks exactly one.
         calls = 0
-        zero_set = RSeq.zero_set
+        sign_set = RSeq.sign_set
 
-        def counting(x):
+        def counting(x, signs):
             nonlocal calls
             calls += 1
-            return zero_set(x)
+            return sign_set(x, signs)
 
-        monkeypatch.setattr(RSeq, "zero_set", counting)
+        monkeypatch.setattr(RSeq, "sign_set", counting)
         assert run_cli("eval", "n*n - 3*n + 2") == (0, "n * n - 3 * n + 2 [Infinite]\n")
-        assert calls == 1
+        assert calls == 0
+        code, _ = run_cli("eval", "n*n - 3*n + 2", "--filter=principal:{1,2,5}")
+        assert (code, calls) == (0, 1)
+
+    def test_archimedean_check_isolates_no_roots(self, monkeypatch):
+        calls = 0
+        root_breaks = exactnum.root_breaks
+
+        def counting(p):
+            nonlocal calls
+            calls += 1
+            return root_breaks(p)
+
+        monkeypatch.setattr(exactnum, "root_breaks", counting)
+        code, text = run_cli("check", "archimedean", "--kmax", "100")
+        assert code == 0 and "FAIL" not in text
+        assert calls == 0
 
     def test_oracle(self):
         code, text = run_cli("oracle", "--lambda", "2", "--field", "2", "--check", "galois")

@@ -3,11 +3,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from gen import random_rseq
 
 from gscalars import expr as ex
 from gscalars.errors import TypeMismatch, ZeroDivisor
 from gscalars.quotient import Classification, Scalar, scalar_eq
-from gscalars.sampling import random_rseq
 from gscalars.seqrep import indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 

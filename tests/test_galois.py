@@ -1,7 +1,9 @@
 import random
 
+from gen import random_ideal_member, random_rseq
+
 from gscalars.galois import ideal_closure_check, in_ideal, realize_zero_set, roundtrip_filter
-from gscalars.sampling import random_ideal_member, random_principal_filter, random_rseq, random_set, sample_sets
+from gscalars.sampling import random_principal_filter, random_set, sample_sets
 from gscalars.seqrep import indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 

@@ -3,6 +3,13 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from gen import (
+    random_appreciable_rseq,
+    random_ideal_member,
+    random_infinite_rseq,
+    random_infinitesimal_rseq,
+    random_rseq,
+)
 from scan import branch_polys, horner, int_branches, root_free_beyond
 
 from gscalars.errors import FilterMismatch, NotStandardizable, ZeroDivisor, ZeroScalar
@@ -20,16 +27,7 @@ from gscalars.quotient import (
     standard_part,
     try_invert,
 )
-from gscalars.sampling import (
-    random_appreciable_rseq,
-    random_ideal_member,
-    random_infinite_rseq,
-    random_infinitesimal_rseq,
-    random_nonempty_set,
-    random_principal_filter,
-    random_rat,
-    random_rseq,
-)
+from gscalars.sampling import random_nonempty_set, random_principal_filter, random_rat
 from gscalars.seqrep import RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 

@@ -1,20 +1,22 @@
 import random
 
 import pytest
+from gen import (
+    random_appreciable_rseq,
+    random_ideal_member,
+    random_infinite_rseq,
+    random_infinitesimal_rseq,
+    random_poly_rseq,
+    random_rseq,
+)
 
 from gscalars.galois import in_ideal
 from gscalars.quotient import Classification, Scalar, classify
 from gscalars.sampling import (
-    random_appreciable_rseq,
     random_convergent_rseq,
     random_filter_member,
-    random_ideal_member,
-    random_infinite_rseq,
-    random_infinitesimal_rseq,
     random_nonempty_set,
     random_principal_filter,
-    random_poly_rseq,
-    random_rseq,
     sample_sets,
 )
 from gscalars.seqrep import BSeqVerdict

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from gen import random_rseq
 from scan import horner, int_branches, root_free_beyond
 
 from gscalars.errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
 from gscalars.exactnum import Poly, RatFun, rat
-from gscalars.sampling import random_convergent_rseq, random_rat, random_rseq
+from gscalars.sampling import random_convergent_rseq, random_nonempty_set, random_rat, random_set
 from gscalars.seqrep import MAX_MODULUS, BSeqVerdict, RSeq, indicator, make_constant, make_identity
-from gscalars.sets_filters import SetDescriptor
+from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 
 WINDOW = 120
 
@@ -192,6 +193,32 @@ class TestZeroSet:
             for subset in subsets:
                 s = x.sign_set(subset)
                 assert [s.member(n) for n in range(WINDOW)] == [v in subset for v in signs]
+
+    def test_filter_holds_matches_sign_set(self):
+        # A cofinite filter reads only sign_tail, which must be the tail of
+        # sign_set; a principal filter reads all of sign_set.
+        rng = random.Random(37)
+        subsets = [set(s) for k in (1, 2, 3) for s in itertools.combinations((-1, 0, 1), k)]
+        verdicts = set()
+        for _ in range(40):
+            x = random_rseq(rng, 3, 2)
+            base = random_set(rng)
+            while base.is_finite():
+                base = random_set(rng)
+            filters = [
+                FilterDescriptor.frechet(),
+                FilterDescriptor(base, cofinite=True),
+                FilterDescriptor.principal(random_nonempty_set(rng)),
+            ]
+            for subset in subsets:
+                s, tail = x.sign_set(subset), x.sign_tail(subset)
+                assert (tail.modulus, tail.tail) == (s.modulus, s.tail)
+                own = [FilterDescriptor(s, cofinite=True)] if not s.is_finite() else []
+                for f in filters + own:
+                    verdict = f.holds(x, subset)
+                    assert verdict == f.contains(s)
+                    verdicts.add(verdict)
+        assert verdicts == {False, True}
 
     def test_algebraic_containments(self):
         rng = random.Random(31)

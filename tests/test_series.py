@@ -3,12 +3,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from gen import random_poly_rseq
 from hypothesis import given, strategies as st
 
 from gscalars.errors import NonPolynomialTerms
 from gscalars.exactnum import Poly, RatFun, rat
 from gscalars.quotient import Classification, Scalar, classify, embed, scalar_eq, standard_part
-from gscalars.sampling import random_poly_rseq
 from gscalars.series import banach_bounds_check, partial_sums, shift_invariance_impossibility
 from gscalars.seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
