@@ -6,11 +6,13 @@ order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
 meaningful.  The asymptotic helpers (limit at infinity, sign breaks from
 Sturm root isolation, eventual sign, nonnegative integer roots) are the
-analysis primitives every other module leans on.  Gcds and root isolation
-clear denominators once and then work over Z, while `Poly` and `RatFun`
-keep their Fraction coefficients: `poly_gcd`, the squarefree part and the
-Sturm chain all come from one primitive pseudo-remainder sequence, and
-root isolation evaluates integer polynomials at integer points.
+analysis primitives every other module leans on.  Gcds, the cancellation
+of common factors and root isolation clear denominators once and then work
+over Z, while `Poly` and `RatFun` keep their Fraction coefficients:
+`poly_gcd`, the squarefree part and the Sturm chain all come from one
+primitive pseudo-remainder sequence, a common factor cancels by exact
+integer division, and root isolation evaluates integer polynomials at
+integer points.
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ def _check_degree(degree: int) -> None:
     """Refuse a polynomial of degree past MAX_DEGREE before it is built."""
     if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {degree} is above the limit of {MAX_DEGREE}")
-
-
-def rat(numerator, denominator=1) -> Rat:
-    """Exact rational from integers (or anything Fraction accepts)."""
-    return Fraction(numerator, denominator)
 
 
 def sign(q: Rat) -> int:
@@ -122,33 +119,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = Fraction(c)
         return Poly(tuple(a * c for a in self.coeffs))
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q: list[Fraction] = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.lead
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.lead)
 
     def shift_arg(self, k: int) -> "Poly":
         """The polynomial p(n + k)."""
@@ -237,7 +207,7 @@ class RatFun:
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
-                num, den = num // g, den // g
+                num, den = _divide(num, g), _divide(den, g)
             lead = den.lead
             if lead != 1:
                 num, den = num.scale(1 / lead), den.scale(1 / lead)
@@ -271,7 +241,7 @@ class RatFun:
         # The product of the denominators is their lcm unless they share a factor.
         mine, theirs = other.den, self.den
         if mine.degree > 0 and theirs.degree > 0 and (g := poly_gcd(mine, theirs)).degree > 0:
-            mine, theirs = mine // g, theirs // g
+            mine, theirs = _divide(mine, g), _divide(theirs, g)
         return RatFun(op(self.num * mine, other.num * theirs), self.den * mine)
 
     def __add__(self, other: "RatFun") -> "RatFun":
@@ -382,10 +352,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     The monic gcd over Q is unique, so it is the last term of the primitive
     pseudo-remainder sequence of the integer forms of a and b, made monic.
     """
-    if b.is_zero():
-        return a.monic()
-    g = _remainder_sequence(_integer_form(a), _integer_form(b))[-1]
-    return Poly(g).monic() if len(g) > 1 else Poly.constant(1)
+    g = _integer_form(a)
+    if not b.is_zero():
+        g = _remainder_sequence(g, _integer_form(b))[-1]
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -403,6 +373,12 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
             for i, x in enumerate(b):
                 r[k + i] -= c * x
     return q
+
+
+def _divide(a: Poly, g: Poly) -> Poly:
+    """a / g, for a nonzero g that divides a, by exact division of their integer forms."""
+    cs, gs = _integer_form(a), _integer_form(g)
+    return Poly(_exact_quotient(cs, gs)).scale(a.lead * gs[-1] / (cs[-1] * g.lead))
 
 
 def _derivative(cs: list[int]) -> list[int]:

@@ -10,9 +10,11 @@ One regular expression splits the text into tokens.  An integer literal is
 a run of decimal digits (Unicode category Nd) no longer than the
 interpreter's int-to-text limit, `sys.get_int_max_str_digits()`.
 
-Rendering is canonical: parse(render(parse(text))) == parse(text), and a
-rendered value re-evaluates to the same class under every filter.  Numbers
-past the int-to-text limit render as NumberTooLarge (`number_text`).
+Both grammars parse into one tree, and one renderer prints either from one
+precedence table.  Rendering is canonical: parse(render(parse(text))) ==
+parse(text), and a rendered value re-evaluates to the same class under
+every filter.  Numbers past the int-to-text limit render as NumberTooLarge
+(`number_text`).
 
 Parsing refuses with NestingTooDeep, before anything is evaluated, an
 expression nested deeper than MAX_DEPTH levels.  Each parenthesis, call,
@@ -28,6 +30,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import Error, NestingTooDeep, NumberTooLarge, TypeMismatch
 from .exactnum import Poly, RatFun, integer_roots_nonneg
@@ -77,26 +80,22 @@ class Var:
 
 
 @dataclass(frozen=True, slots=True)
-class Neg:
+class Unary:
+    op: str  # - (scalars) or ~ (sets)
     arg: object
 
 
 @dataclass(frozen=True, slots=True)
 class BinOp:
-    op: str  # + - * /
+    op: str  # + - * / (scalars) or | & (sets)
     left: object
     right: object
 
 
 @dataclass(frozen=True, slots=True)
 class Call:
-    name: str  # shift sum st class invert limit eq le
+    name: str  # shift sum st class invert limit eq le, or ind of one set node
     args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Ind:
-    set_expr: object
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,18 +116,6 @@ class SetMod:
     modulus: int
 
 
-@dataclass(frozen=True, slots=True)
-class SetNot:
-    arg: object
-
-
-@dataclass(frozen=True, slots=True)
-class SetBin:
-    op: str  # | &
-    left: object
-    right: object
-
-
 # Call name -> argument count, in the order a syntax error lists them.
 CALLS = {"shift": 1, "sum": 1, "st": 1, "class": 1, "invert": 1, "limit": 1, "eq": 2, "le": 2}
 
@@ -139,7 +126,7 @@ def _chain(node, ops) -> tuple:
     links (the operator nodes) in source order.  Rendering and evaluation
     both walk chains this way, so a long chain never recurses per link."""
     links = []
-    while isinstance(node, (BinOp, SetBin, Except)) and node.op in ops:
+    while isinstance(node, (BinOp, Except)) and node.op in ops:
         links.append(node)
         node = node.left
     links.reverse()
@@ -228,13 +215,13 @@ class _Parser:
             self._fail(zero, tok.offset)
         return value
 
-    def _binary(self, node_type, ops: str, operand):
+    def _binary(self, ops: str, operand):
         """A left-associative chain `operand (op operand)*` over the
-        punctuation characters in `ops`, built as left-deep `node_type` nodes."""
+        punctuation characters in `ops`, built as left-deep BinOp nodes."""
         node = operand()
         while (tok := self.current).kind == "punct" and tok.text in ops:
             self.pos += 1
-            node = node_type(tok.text, node, operand())
+            node = BinOp(tok.text, node, operand())
         return node
 
     def _braces(self, item) -> list:
@@ -251,17 +238,17 @@ class _Parser:
     # scalar grammar -----------------------------------------------------------
 
     def parse_expr(self):
-        node = self._binary(BinOp, "+-", self._mul_expr)
+        node = self._binary("+-", self._mul_expr)
         while self._take("except"):
             node = Except(node, self._except_map())
         return node
 
     def _mul_expr(self):
-        return self._binary(BinOp, "*/", self._unary)
+        return self._binary("*/", self._unary)
 
     def _unary(self):
         if self._take("-"):
-            return Neg(self._nested(self._unary))
+            return Unary("-", self._nested(self._unary))
         return self._atom()
 
     def _atom(self):
@@ -271,7 +258,7 @@ class _Parser:
         if self._take("n"):
             return Var()
         if self._take("ind"):
-            return Ind(self._nested(self.parse_set, enclosed=True))
+            return Call("ind", (self._nested(self.parse_set, enclosed=True),))
         if tok.text in CALLS:
             self.pos += 1
             self._eat("punct", "(")
@@ -305,14 +292,14 @@ class _Parser:
     # set grammar --------------------------------------------------------------
 
     def parse_set(self):
-        return self._binary(SetBin, "|", self._set_and)
+        return self._binary("|", self._set_and)
 
     def _set_and(self):
-        return self._binary(SetBin, "&", self._set_atom)
+        return self._binary("&", self._set_atom)
 
     def _set_atom(self):
         if self._take("~"):
-            return SetNot(self._nested(self._set_atom))
+            return Unary("~", self._nested(self._set_atom))
         if self.current.text == "{":
             return SetLit(self._int_braces())
         if self.current.text == "(":
@@ -327,7 +314,7 @@ class _Parser:
             return SetMod(1, 2)
         if self._take("cofinite"):
             self._eat("punct", "~")
-            return SetNot(SetLit(self._int_braces()))
+            return Unary("~", SetLit(self._int_braces()))
         self._unexpected(["{", "~", "(", "residue mod modulus", "evens", "odds", "cofinite"])
 
     def _int_braces(self) -> tuple:
@@ -364,70 +351,58 @@ def number_text(q: int | Fraction) -> str:
     return str(q)
 
 
-_EXCEPT, _ADD, _MUL, _UNARY, _ATOM = range(5)
-
-
-def _parenthesized(text_level: tuple[str, int], parent_level: int) -> str:
-    text, level = text_level
-    return f"({text})" if level < parent_level else text
+# One precedence table for both grammars, since no chain mixes them: a node
+# is parenthesized under a parent that needs a higher level than its own.  A
+# binary operator maps to (its text, the operators its chain mixes, the
+# chain's level, the level its right operands need), a unary operator to its
+# level, which its operand needs too.
+_EXCEPT, _ATOM = 0, 4
+_BINARY = {
+    "|": ("|", "|", 0, 1),
+    "&": ("&", "&", 1, 2),
+    "+": (" + ", "+-", 1, 2),
+    "-": (" - ", "+-", 1, 2),
+    "*": (" * ", "*/", 2, 3),
+    "/": (" / ", "*/", 2, 3),
+}
+_UNARY = {"~": 2, "-": 3}
 
 
 def render(node, parent_level: int = 0) -> str:
-    return _parenthesized(_render(node), parent_level)
+    text, level = _render(node)
+    return f"({text})" if level < parent_level else text
 
 
 def _render(node) -> tuple[str, int]:
+    """The text of a scalar or set node, and its level."""
     if isinstance(node, Lit):
         return number_text(node.value), _ATOM
     if isinstance(node, Var):
         return "n", _ATOM
-    if isinstance(node, Neg):
-        return f"-{render(node.arg, _UNARY)}", _UNARY
+    if isinstance(node, Unary):
+        level = _UNARY[node.op]
+        return node.op + render(node.arg, level), level
     if isinstance(node, BinOp):
-        if node.op in "+-":
-            return _render_chain(node, "+-", _ADD, _MUL, render, " {} ")
-        return _render_chain(node, "*/", _MUL, _UNARY, render, " {} ")
+        _, ops, level, right_level = _BINARY[node.op]
+        head, links = _chain(node, ops)
+        parts = [render(head, level)]
+        parts.extend(_BINARY[link.op][0] + render(link.right, right_level) for link in links)
+        return "".join(parts), level
     if isinstance(node, Call):
         inner = ", ".join(render(a) for a in node.args)
         return f"{node.name}({inner})", _ATOM
-    if isinstance(node, Ind):
-        return f"ind({render_set(node.set_expr)})", _ATOM
     if isinstance(node, Except):
         head, links = _chain(node, ("except",))
         maps = "".join(
             " except {" + ", ".join(f"{number_text(k)}: {number_text(v)}" for k, v in link.overrides) + "}"
             for link in links
         )
-        return render(head, _ADD) + maps, _EXCEPT
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_SET_OR, _SET_AND, _SET_NOT, _SET_ATOM = range(4)
-
-
-def render_set(node, parent_level: int = 0) -> str:
-    return _parenthesized(_render_set(node), parent_level)
-
-
-def _render_set(node) -> tuple[str, int]:
+        return render(head) + maps, _EXCEPT  # every other scalar node binds tighter
     if isinstance(node, SetLit):
-        return "{" + ",".join(map(number_text, node.elements)) + "}", _SET_ATOM
+        return "{" + ",".join(map(number_text, node.elements)) + "}", _ATOM
     if isinstance(node, SetMod):
-        return f"{node.residue} mod {node.modulus}", _SET_ATOM
-    if isinstance(node, SetNot):
-        return f"~{render_set(node.arg, _SET_NOT)}", _SET_NOT
-    if isinstance(node, SetBin):
-        if node.op == "|":
-            return _render_chain(node, "|", _SET_OR, _SET_AND, render_set, "{}")
-        return _render_chain(node, "&", _SET_AND, _SET_NOT, render_set, "{}")
-    raise TypeError(f"not a set node: {node!r}")
-
-
-def _render_chain(node, ops: str, level: int, right_level: int, render_side, sep: str) -> tuple[str, int]:
-    head, links = _chain(node, ops)
-    parts = [render_side(head, level)]
-    parts.extend(sep.format(link.op) + render_side(link.right, right_level) for link in links)
-    return "".join(parts), level
+        return f"{node.residue} mod {node.modulus}", _ATOM
+    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -438,9 +413,9 @@ def eval_set(node) -> SetDescriptor:
         return SetDescriptor.finite(node.elements)
     if isinstance(node, SetMod):
         return SetDescriptor.residue_class(node.residue, node.modulus)
-    if isinstance(node, SetNot):
+    if isinstance(node, Unary) and node.op == "~":
         return eval_set(node.arg).complement()
-    if isinstance(node, SetBin):
+    if isinstance(node, BinOp) and node.op in "|&":
         head, links = _chain(node, "|&")
         value = eval_set(head)
         for link in links:
@@ -470,6 +445,9 @@ def evaluate_scalars(texts, f: FilterDescriptor) -> list[Scalar]:
     return [_as_scalar(value, f) for value in values]
 
 
+_SCALAR_CHAIN = ("+", "-", "*", "/", "except")
+
+
 def evaluate(node, f: FilterDescriptor):
     """Evaluate an AST under a filter.
 
@@ -480,10 +458,10 @@ def evaluate(node, f: FilterDescriptor):
         return embed(node.value, f)
     if isinstance(node, Var):
         return Scalar(make_identity(), f)
-    if isinstance(node, Neg):
+    if isinstance(node, Unary) and node.op == "-":
         return -_scalar(node.arg, f)
-    if isinstance(node, (BinOp, Except)):
-        head, links = _chain(node, ("+", "-", "*", "/", "except"))
+    if isinstance(node, (BinOp, Except)) and node.op in _SCALAR_CHAIN:
+        head, links = _chain(node, _SCALAR_CHAIN)
         value = _scalar(head, f)
         for link in links:
             if link.op == "except":
@@ -500,9 +478,9 @@ def evaluate(node, f: FilterDescriptor):
             else:
                 value = value * try_invert(right)
         return value
-    if isinstance(node, Ind):
-        return Scalar(indicator(eval_set(node.set_expr)), f)
     if isinstance(node, Call):
+        if node.name == "ind":
+            return Scalar(indicator(eval_set(node.args[0])), f)
         args = [_scalar(a, f) for a in node.args]
         name, arg = node.name, args[0]
         if name == "eq":
@@ -532,33 +510,32 @@ def set_to_expr(s: SetDescriptor):
         return SetLit(())
     if s.is_finite():
         return SetLit(tuple(sorted(s.plus)))
-    node = None
-    for r in sorted(s.residues):
-        atom = SetMod(r, s.modulus)
-        node = atom if node is None else SetBin("|", node, atom)
+    node = _joined("|", [SetMod(r, s.modulus) for r in sorted(s.residues)])
     if s.minus:
-        node = SetBin("&", node, SetNot(SetLit(tuple(sorted(s.minus)))))
+        node = BinOp("&", node, Unary("~", SetLit(tuple(sorted(s.minus)))))
     if s.plus:
-        node = SetBin("|", node, SetLit(tuple(sorted(s.plus))))
+        node = BinOp("|", node, SetLit(tuple(sorted(s.plus))))
     return node
 
 
 def _rat_expr(q: Fraction):
     num = Lit(abs(q.numerator))
     if q < 0:
-        num = Neg(num)
+        num = Unary("-", num)
     if q.denominator != 1:
         return BinOp("/", num, Lit(q.denominator))
     return num
 
 
+def _joined(op: str, nodes: list):
+    """The left-deep chain nodes[0] op nodes[1] op ..."""
+    return reduce(lambda left, right: BinOp(op, left, right), nodes)
+
+
 def _monomial_expr(coeff_node, k: int):
-    """coeff * n * ... * n, left associated; bare power when coeff is None."""
-    node = coeff_node if coeff_node is not None else Var()
-    start = 0 if coeff_node is not None else 1
-    for _ in range(start, k):
-        node = BinOp("*", node, Var())
-    return node
+    """coeff * n * ... * n with k factors n, left associated; bare power when coeff is None."""
+    factors = [Var()] * k
+    return _joined("*", factors if coeff_node is None else [coeff_node, *factors])
 
 
 def _poly_expr(p: Poly):
@@ -573,7 +550,7 @@ def _poly_expr(p: Poly):
         if abs(c) != 1:
             return _monomial_expr(_rat_expr(c), k)
         power = _monomial_expr(None, k)
-        return Neg(power) if c < 0 else power
+        return Unary("-", power) if c < 0 else power
 
     node = term(*items[0])
     for k, c in items[1:]:
@@ -603,22 +580,17 @@ def rseq_to_expr(x: RSeq):
     a 0/1 sequence renders as the indicator of its support."""
     if all(br in _ZERO_ONE for br in x.branches) and all(v in (0, 1) for v in x.exceptions.values()):
         support = x.sign_set({1})
-        return Ind(set_to_expr(support)) if not support.is_empty() else Lit(0)
+        return Call("ind", (set_to_expr(support),)) if not support.is_empty() else Lit(0)
     terms = []
     for r, br in enumerate(x.branches):
         if br.is_zero():
             continue
         body = _ratfun_expr(br)
         if x.modulus > 1:
-            mask = Ind(SetMod(r, x.modulus))
+            mask = Call("ind", (SetMod(r, x.modulus),))
             body = mask if body == Lit(1) else BinOp("*", mask, body)
         terms.append(body)
-    if not terms:
-        node = Lit(0)
-    else:
-        node = terms[0]
-        for term in terms[1:]:
-            node = BinOp("+", node, term)
+    node = _joined("+", terms) if terms else Lit(0)
     if x.exceptions:
         node = Except(node, tuple(sorted(x.exceptions.items())))
     return node

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from gen import random_rseq
+from hypothesis import given, settings, strategies as st
 
 from gscalars import expr as ex
 from gscalars.errors import TypeMismatch, ZeroDivisor
@@ -25,7 +26,7 @@ class TestParse:
 
     def test_indicator_product(self):
         node = ex.parse("ind(0 mod 2) * ind(1 mod 2)")
-        assert node == ex.BinOp("*", ex.Ind(ex.SetMod(0, 2)), ex.Ind(ex.SetMod(1, 2)))
+        assert node == ex.BinOp("*", ex.Call("ind", (ex.SetMod(0, 2),)), ex.Call("ind", (ex.SetMod(1, 2),)))
 
     def test_shift_witness(self):
         node = ex.parse("shift(n) - n")
@@ -48,10 +49,10 @@ class TestParse:
     def test_set_sugar(self):
         assert ex.parse_set("evens") == ex.SetMod(0, 2)
         assert ex.parse_set("odds") == ex.SetMod(1, 2)
-        assert ex.parse_set("cofinite~{3}") == ex.SetNot(ex.SetLit((3,)))
+        assert ex.parse_set("cofinite~{3}") == ex.Unary("~", ex.SetLit((3,)))
         assert ex.parse_set("{3,5}") == ex.SetLit((3, 5))
-        assert ex.parse_set("~A|B" if False else "~{1}&{1,2}") == ex.SetBin(
-            "&", ex.SetNot(ex.SetLit((1,))), ex.SetLit((1, 2))
+        assert ex.parse_set("~{1}&{1,2}") == ex.BinOp(
+            "&", ex.Unary("~", ex.SetLit((1,))), ex.SetLit((1, 2))
         )
 
     def test_syntax_error_positions(self):
@@ -106,6 +107,14 @@ class TestRenderRoundTrip:
         "st(1 / (n + 1) + 7)",
         "le(5, sum(1))",
         "(n - 3) * invert((n + 1) except {0: 2})",
+        "-(n * 2) + -n / -(n - 1)",
+        "n - (1 - n) + (n + 1)",
+        "n + (2 + n) - (n - 1)",
+        "n / (n * 2) * (n / 3)",
+        "n * (n / 2) / (n * 3)",
+        "(n except {0: 1}) + -(n except {1: 2})",
+        "ind(({1}|{2})&({3}&{4})|({5}|{6}))",
+        "ind(~(0 mod 2&{1})|~({2}|{3})&~~{4})",
     ]
 
     @pytest.mark.parametrize("text", CASES)
@@ -116,7 +125,60 @@ class TestRenderRoundTrip:
 
     def test_render_is_canonical_for_sets(self):
         node = ex.parse_set("(0 mod 2|1 mod 2)&~{4}")
-        assert ex.parse_set(ex.render_set(node)) == node
+        assert ex.parse_set(ex.render(node)) == node
+
+
+# Random trees of both grammars, four levels deep, in the forms the parser
+# builds: literals are nonnegative (a sign is a Unary), and set and override
+# keys are sorted and unique.  Leaves appear only at the last level, so every
+# tree mixes several operators.
+_KEYS = st.lists(st.integers(0, 30), unique=True, max_size=4).map(sorted)
+_OVERRIDES = st.lists(
+    st.tuples(st.integers(0, 30), st.fractions(-20, 20, max_denominator=9)), unique_by=lambda kv: kv[0], max_size=3
+).map(lambda items: tuple(sorted(items)))
+
+
+def set_trees(depth=4):
+    leaves = st.one_of(
+        _KEYS.map(lambda keys: ex.SetLit(tuple(keys))),
+        st.builds(ex.SetMod, st.integers(0, 12), st.integers(1, 12)),
+    )
+    if depth == 0:
+        return leaves
+    inner = set_trees(depth - 1)
+    return st.one_of(
+        st.builds(ex.Unary, st.just("~"), inner),
+        st.builds(ex.BinOp, st.sampled_from("|&"), inner, inner),
+    )
+
+
+def scalar_trees(depth=4):
+    leaves = st.one_of(st.builds(ex.Lit, st.integers(0, 10**6)), st.just(ex.Var()))
+    if depth == 0:
+        return leaves
+    inner = scalar_trees(depth - 1)
+    calls = st.sampled_from(sorted(ex.CALLS.items())).flatmap(
+        lambda call: st.tuples(*[inner] * call[1]).map(lambda args: ex.Call(call[0], args))
+    )
+    wrapped = st.one_of(
+        calls, set_trees(depth - 1).map(lambda s: ex.Call("ind", (s,))), st.builds(ex.Except, inner, _OVERRIDES)
+    )
+    return st.one_of(
+        st.builds(ex.Unary, st.just("-"), inner), st.builds(ex.BinOp, st.sampled_from("+-*/"), inner, inner), wrapped
+    )
+
+
+class TestRenderRoundTripProperty:
+    """The shared precedence table parenthesizes exactly where the parser needs it."""
+
+    @settings(max_examples=400)
+    @given(scalar_trees())
+    def test_scalar_trees(self, tree):
+        assert ex.parse(ex.render(tree)) == tree
+
+    @given(set_trees())
+    def test_set_trees(self, tree):
+        assert ex.parse_set(ex.render(tree)) == tree
 
 
 class TestEvaluate:

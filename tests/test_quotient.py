@@ -13,7 +13,7 @@ from gen import (
 from scan import branch_polys, horner, int_branches, root_free_beyond
 
 from gscalars.errors import FilterMismatch, NotStandardizable, ZeroDivisor, ZeroScalar
-from gscalars.exactnum import Poly, RatFun, rat
+from gscalars.exactnum import Poly, RatFun
 from gscalars.quotient import (
     Classification,
     Scalar,
@@ -55,7 +55,7 @@ def far_branch(rng):
     else:
         num = poly(-(2 * r + 1), 2) * poly(1, 0, 1)  # root r + 1/2, between naturals
     den = rng.choice([poly(1), poly(rng.randint(1, 9), 1), poly(1, 0, 1)])
-    scale = rng.choice([1, -1, rat(3, 2), rat(-1, 4)])
+    scale = rng.choice([1, -1, Fraction(3, 2), Fraction(-1, 4)])
     return RatFun(num.scale(scale), den), r
 
 
@@ -86,13 +86,13 @@ def pointwise_le(x, y, window):
 
 class TestScalarEq:
     def test_finite_disagreement_is_equal_under_frechet(self):
-        x = Scalar(harmonic_tail({0: rat(7)}), FRECHET)
+        x = Scalar(harmonic_tail({0: Fraction(7)}), FRECHET)
         y = Scalar(harmonic_tail(), FRECHET)
         assert scalar_eq(x, y)
 
     def test_same_pair_differs_under_principal_evens(self):
         f = FilterDescriptor.principal(SetDescriptor.evens())
-        x = Scalar(harmonic_tail({0: rat(7)}), f)
+        x = Scalar(harmonic_tail({0: Fraction(7)}), f)
         y = Scalar(harmonic_tail(), f)
         assert not scalar_eq(x, y)
 
@@ -274,7 +274,7 @@ class TestOrder:
             for sign in signs:
                 c = rng.randint(10**4, 5 * 10**4)
                 num = poly(-c, 1) if rng.random() < 0.5 else poly(-c, 1) * poly(-(c + rng.randint(1, 10**4)), 1)
-                branches.append(RatFun(num.scale(sign * rng.choice([1, rat(2, 3)]))))
+                branches.append(RatFun(num.scale(sign * rng.choice([1, Fraction(2, 3)]))))
             exceptions = {rng.randint(0, 2 * 10**5): random_rat(rng) for _ in range(rng.randint(0, 2))}
             x = RSeq(m, branches, exceptions)
             y = make_constant(random_rat(rng))
@@ -354,7 +354,7 @@ class TestClassify:
     def test_zero_and_appreciable(self):
         assert classify(embed(0, FRECHET)) is Classification.ZERO
         assert classify(Scalar(indicator(SetDescriptor.finite({5})), FRECHET)) is Classification.ZERO
-        assert classify(embed(rat(-2, 7), FRECHET)) is Classification.APPRECIABLE
+        assert classify(embed(Fraction(-2, 7), FRECHET)) is Classification.APPRECIABLE
         assert classify(Scalar(indicator(SetDescriptor.evens()), FRECHET)) is Classification.APPRECIABLE
 
     def test_principal_relevance(self):

@@ -7,7 +7,7 @@ from gen import random_rseq
 from scan import horner, int_branches, root_free_beyond
 
 from gscalars.errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
-from gscalars.exactnum import Poly, RatFun, rat
+from gscalars.exactnum import Poly, RatFun
 from gscalars.sampling import random_convergent_rseq, random_nonempty_set, random_rat, random_set
 from gscalars.seqrep import MAX_MODULUS, BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
@@ -25,9 +25,9 @@ def seq_one_over_n_plus_1():
 
 class TestConstructors:
     def test_constant(self):
-        x = make_constant(rat(-3, 2))
+        x = make_constant(Fraction(-3, 2))
         assert x.modulus == 1 and not x.exceptions
-        assert x.prefix(4) == [rat(-3, 2)] * 4
+        assert x.prefix(4) == [Fraction(-3, 2)] * 4
         assert make_constant(1).prefix(3) == [1, 1, 1]
 
     def test_identity(self):
@@ -85,7 +85,7 @@ class TestConstructors:
     def test_denominator_root_needs_exception(self):
         with pytest.raises(MissingException):
             RSeq(1, [RatFun(poly(1), poly(-3, 1))])  # 1/(n-3)
-        x = RSeq(1, [RatFun(poly(1), poly(-3, 1))], {3: rat(0)})
+        x = RSeq(1, [RatFun(poly(1), poly(-3, 1))], {3: Fraction(0)})
         assert x.eval(3) == 0
         assert x.eval(4) == 1
 
@@ -94,17 +94,17 @@ class TestConstructors:
         f = RatFun(poly(0, 1))
         assert RSeq(2, [f, f]).modulus == 1
         # override equal to the branch value is pruned
-        x = RSeq(1, [f], {5: rat(5)})
+        x = RSeq(1, [f], {5: Fraction(5)})
         assert not x.exceptions
         # overrides that disagree are kept
-        y = RSeq(1, [f], {5: rat(6)})
-        assert y.exceptions == {5: rat(6)}
+        y = RSeq(1, [f], {5: Fraction(6)})
+        assert y.exceptions == {5: Fraction(6)}
 
 
 class TestEval:
     def test_examples(self):
         assert make_identity().eval(5) == 5
-        assert seq_one_over_n_plus_1().eval(3) == rat(1, 4)
+        assert seq_one_over_n_plus_1().eval(3) == Fraction(1, 4)
         assert indicator(SetDescriptor.evens()).eval(4) == 1
 
 
@@ -136,9 +136,9 @@ class TestRingOps:
 
     def test_scale(self):
         x = random_rseq(random.Random(9))
-        y = x.scale(rat(-2, 3))
+        y = x.scale(Fraction(-2, 3))
         for n in range(40):
-            assert y.eval(n) == x.eval(n) * rat(-2, 3)
+            assert y.eval(n) == x.eval(n) * Fraction(-2, 3)
 
     def test_ring_axioms_structural(self):
         rng = random.Random(23)
@@ -157,7 +157,7 @@ class TestShift:
         assert nu.shift() - nu == make_constant(1)
 
     def test_constant_fixed(self):
-        c = make_constant(rat(5, 3))
+        c = make_constant(Fraction(5, 3))
         assert c.shift() == c
 
     def test_support_slides_off(self):
@@ -250,7 +250,7 @@ class TestBoundedness:
             indicator(SetDescriptor.evens()).limit()
 
     def test_exceptions_do_not_affect_verdict(self):
-        x = RSeq(1, [RatFun(poly(1), poly(1, 1))], {0: rat(999)})
+        x = RSeq(1, [RatFun(poly(1), poly(1, 1))], {0: Fraction(999)})
         assert x.classify_bounded() == BSeqVerdict.convergent(0)
 
 
@@ -264,8 +264,8 @@ class TestBounds:
         x = seq_one_over_n_plus_1()
         assert x.sup_val() == 1
         assert x.inf_val() == 0
-        c = make_constant(rat(7, 4))
-        assert c.sup_val() == c.inf_val() == rat(7, 4)
+        c = make_constant(Fraction(7, 4))
+        assert c.sup_val() == c.inf_val() == Fraction(7, 4)
         with pytest.raises(UnboundedSequence):
             make_identity().sup_val()
 
@@ -287,7 +287,7 @@ class TestBounds:
             for _ in range(m):
                 r = int(10 ** rng.uniform(3, 3.7))
                 num = poly(-r, 1) * poly(-(r + rng.randint(0, 300)), 1)
-                branches.append(RatFun(num.scale(rng.choice([1, -2, rat(1, 3)])), poly(1, 0, 1)))
+                branches.append(RatFun(num.scale(rng.choice([1, -2, Fraction(1, 3)])), poly(1, 0, 1)))
             exceptions = {rng.randint(0, 40): random_rat(rng) for _ in range(rng.randint(0, 2))}
             x = RSeq(m, branches, exceptions)
             steps = [br.shift_arg(x.modulus) - br for br in x.branches]

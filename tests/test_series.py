@@ -7,7 +7,7 @@ from gen import random_poly_rseq
 from hypothesis import given, strategies as st
 
 from gscalars.errors import NonPolynomialTerms
-from gscalars.exactnum import Poly, RatFun, rat
+from gscalars.exactnum import Poly, RatFun
 from gscalars.quotient import Classification, Scalar, classify, embed, scalar_eq, standard_part
 from gscalars.series import banach_bounds_check, partial_sums, shift_invariance_impossibility
 from gscalars.seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
@@ -72,7 +72,7 @@ class TestPartialSums:
             partial_sums(s)
 
     def test_exceptions_shift_the_tail(self):
-        s = RSeq(1, [RatFun.constant(1)], {3: rat(10)})
+        s = RSeq(1, [RatFun.constant(1)], {3: Fraction(10)})
         x = partial_sums(s)
         assert [x.eval(n) for n in range(8)] == [1, 2, 3, 13, 14, 15, 16, 17]
 
@@ -118,7 +118,7 @@ class TestPartialSums:
 
     def test_degree_six_modulus_six(self):
         rng = random.Random(163)
-        branches = [RatFun(Poly([rat(rng.randint(-5, 5)) for _ in range(7)])) for _ in range(6)]
+        branches = [RatFun(Poly([Fraction(rng.randint(-5, 5)) for _ in range(7)])) for _ in range(6)]
         s = RSeq(6, branches)
         x = partial_sums(s)
         assert [x.eval(n) for n in range(1001)] == direct_sums(s, 1001)
@@ -135,7 +135,7 @@ class TestClassifySeries:
         assert partial_sums(alternating()).classify_bounded() == BSeqVerdict.bounded_divergent()
 
     def test_eventually_zero_series_converges(self):
-        s = RSeq(1, [RatFun.constant(0)], {0: rat(2), 3: rat(-5)})
+        s = RSeq(1, [RatFun.constant(0)], {0: Fraction(2), 3: Fraction(-5)})
         assert partial_sums(s).classify_bounded() == BSeqVerdict.convergent(-3)
 
 
@@ -155,18 +155,18 @@ class TestGeneralizedSum:
         assert a.rep.classify_bounded() == BSeqVerdict.bounded_divergent()
 
     def test_convergent_sum_has_matching_standard_part(self):
-        s = RSeq(1, [RatFun.constant(0)], {0: rat(1, 2), 2: rat(1, 3)})
+        s = RSeq(1, [RatFun.constant(0)], {0: Fraction(1, 2), 2: Fraction(1, 3)})
         sums = partial_sums(s)
         verdict = sums.classify_bounded()
         assert verdict.kind == BSeqVerdict.CONVERGENT
-        assert standard_part(Scalar(sums, FRECHET)) == verdict.limit == rat(5, 6)
+        assert standard_part(Scalar(sums, FRECHET)) == verdict.limit == Fraction(5, 6)
 
     def test_convergent_series_agree_with_limit_functional(self):
         # polynomial-branch series converge exactly when the terms have
         # finite support; the generalized value then standardizes to the sum
         rng = random.Random(181)
         for _ in range(20):
-            terms = {rng.randint(0, 20): rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))}
+            terms = {rng.randint(0, 20): Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))}
             s = RSeq(1, [RatFun.constant(0)], terms)
             sums = partial_sums(s)
             verdict = sums.classify_bounded()
@@ -182,7 +182,7 @@ class TestGeneralizedSum:
             lhs = Scalar(partial_sums(s + t), FRECHET)
             rhs = Scalar(partial_sums(s), FRECHET) + Scalar(partial_sums(t), FRECHET)
             assert scalar_eq(lhs, rhs)
-            c = rat(rng.randint(-6, 6), rng.randint(1, 4))
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             assert scalar_eq(
                 Scalar(partial_sums(s.scale(c)), FRECHET),
                 Scalar(partial_sums(s), FRECHET).scale(c),
@@ -208,7 +208,7 @@ class TestBanachBounds:
     def test_named_examples(self):
         harmonic = RSeq(1, [RatFun(poly(1), poly(1, 1))])
         assert harmonic.inf_val() == 0 <= harmonic.limit() <= 1 == harmonic.sup_val()
-        c = make_constant(rat(5, 7))
+        c = make_constant(Fraction(5, 7))
         assert c.inf_val() == c.limit() == c.sup_val()
         ratio = RSeq(1, [RatFun(poly(3, 2), poly(1, 1))])
         assert ratio.inf_val() <= ratio.limit() == 2 <= ratio.sup_val()

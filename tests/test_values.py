@@ -4,10 +4,12 @@ Scalar is the exception: its Python equality is identity, because equality
 in the quotient algebra is decided by `scalar_eq`.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from gscalars.errors import InvalidFilter
-from gscalars.exactnum import ExtendedRat, Poly, RatFun, rat
+from gscalars.exactnum import ExtendedRat, Poly, RatFun
 from gscalars.quotient import Scalar
 from gscalars.seqrep import BSeqVerdict, RSeq
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
@@ -15,15 +17,15 @@ from gscalars.sets_filters import FilterDescriptor, SetDescriptor
 # (class, two constructions of the same value, a field to assign, compares by value)
 VALUES = [
     (Poly, lambda: Poly([1, 0, 2]), lambda: Poly([1, 0, 2, 0]), "coeffs", True),
-    (RatFun, lambda: RatFun(Poly([1, 1]), Poly([2, 2])), lambda: RatFun.constant(rat(1, 2)), "num", True),
-    (ExtendedRat, lambda: ExtendedRat.finite(rat(2, 6)), lambda: ExtendedRat(0, rat(1, 3)), "value", True),
+    (RatFun, lambda: RatFun(Poly([1, 1]), Poly([2, 2])), lambda: RatFun.constant(Fraction(1, 2)), "num", True),
+    (ExtendedRat, lambda: ExtendedRat.finite(Fraction(2, 6)), lambda: ExtendedRat(0, Fraction(1, 3)), "value", True),
     (SetDescriptor, lambda: SetDescriptor(4, (0, 2), plus=[3]), lambda: SetDescriptor.evens().union(
         SetDescriptor.finite({3})), "segments", True),
     (FilterDescriptor, lambda: FilterDescriptor.principal(SetDescriptor.evens()),
      lambda: FilterDescriptor(SetDescriptor(4, (0, 2))), "base", True),
     (RSeq, lambda: RSeq(2, [Poly([0, 1]), Poly([0, 1])], {0: 5, 1: 1}),
      lambda: RSeq(1, [RatFun.identity()], {0: 5}), "exceptions", True),
-    (BSeqVerdict, lambda: BSeqVerdict.convergent(rat(1, 2)), lambda: BSeqVerdict("Convergent", rat(1, 2)),
+    (BSeqVerdict, lambda: BSeqVerdict.convergent(Fraction(1, 2)), lambda: BSeqVerdict("Convergent", Fraction(1, 2)),
      "limit", True),
     (Scalar, lambda: Scalar(RSeq(1, [RatFun.identity()]), FilterDescriptor.frechet()),
      lambda: Scalar(RSeq(1, [RatFun.identity()]), FilterDescriptor.frechet()), "rep", False),
