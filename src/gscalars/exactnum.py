@@ -4,9 +4,10 @@ Everything here is arbitrary precision: rationals are `fractions.Fraction`
 (re-exported as `Rat`), polynomials keep Fraction coefficients in ascending
 order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
-meaningful.  The asymptotic helpers (limit at infinity, sign breaks from
-Sturm root isolation, eventual sign, nonnegative integer roots) are the
-analysis primitives every other module leans on.  Gcds, the cancellation
+meaningful; a constant numerator or denominator is coprime to the other
+side, so it takes no gcd.  The asymptotic helpers (limit at infinity, sign
+breaks from Sturm root isolation, eventual sign, nonnegative integer roots)
+are the analysis primitives every other module leans on.  Gcds, the cancellation
 of common factors and root isolation clear denominators once and then work
 over Z, while `Poly` and `RatFun` keep their Fraction coefficients:
 `poly_gcd`, the squarefree part and the Sturm chain all come from one
@@ -188,6 +189,8 @@ class RatFun:
 
     Canonical means gcd(num, den) = 1 and den monic; the zero function is
     0/1.  Structural equality of canonical values is semantic equality.
+    A gcd is taken only when both sides are nonconstant: the monic gcd with
+    a nonzero constant is 1.
     """
 
     num: Poly
@@ -205,8 +208,7 @@ class RatFun:
         if num.is_zero():
             num, den = Poly(), Poly.constant(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
+            if num.degree > 0 and den.degree > 0 and (g := poly_gcd(num, den)).degree > 0:
                 num, den = _divide(num, g), _divide(den, g)
             lead = den.lead
             if lead != 1:

@@ -162,6 +162,27 @@ class TestSubcommands:
         assert code == 0 and "FAIL" not in text
         assert calls == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "archimedean", "--kmax", "100"),
+        ("eval", "2"),
+        ("eval", "n*n - 3*n + 2"),
+    ])
+    def test_constant_sides_take_no_gcd(self, monkeypatch, argv):
+        """A canonical form with a constant numerator or denominator runs no
+        remainder sequence: these commands build only such forms."""
+        calls = 0
+        remainder_sequence = exactnum._remainder_sequence
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return remainder_sequence(a, b)
+
+        monkeypatch.setattr(exactnum, "_remainder_sequence", counting)
+        code, text = run_cli(*argv)
+        assert code == 0 and "FAIL" not in text
+        assert calls == 0
+
     def test_oracle(self):
         code, text = run_cli("oracle", "--lambda", "2", "--field", "2", "--check", "galois")
         assert code == 0

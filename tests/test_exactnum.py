@@ -330,6 +330,14 @@ class TestRatFun:
         with pytest.raises(ZeroDenominator):
             RatFun(Poly.constant(1), Poly())
 
+    def test_constant_numerator(self):
+        f = RatFun(Poly.constant(3), poly_from([2, 4]))  # 3 / (4n + 2)
+        assert (f.num, f.den) == (poly_from([Fraction(3, 4)]), poly_from([Fraction(1, 2), 1]))
+
+    def test_constant_denominator(self):
+        f = RatFun(poly_from([2, 4]), Poly.constant(-2))  # (4n + 2) / -2
+        assert (f.num, f.den) == (poly_from([-1, -2]), poly_from([1]))
+
     @given(st.lists(small_rats, max_size=3), st.lists(small_rats, max_size=3), st.integers(0, 30))
     def test_pointwise_ops(self, a, b, n):
         f = RatFun(poly_from(a), poly_from([1, 0, 1]))

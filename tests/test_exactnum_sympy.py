@@ -1,6 +1,6 @@
-"""Differential tests of root isolation and gcd against sympy.
+"""Differential tests of root isolation, gcd and canonical forms against sympy.
 
-sympy is not a declared dependency, so the module is skipped without it.
+sympy is in the `test` extra; the module is skipped where it is missing.
 """
 
 from fractions import Fraction
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gscalars.exactnum import Poly, _integer_form, _sturm_chain, _variations, integer_roots_nonneg, poly_gcd, root_breaks
+from gscalars.exactnum import Poly, RatFun, _integer_form, _sturm_chain, _variations, integer_roots_nonneg, poly_gcd, root_breaks
 
 sympy = pytest.importorskip("sympy")
 
@@ -26,6 +26,12 @@ def polys(draw):
         for _ in range(draw(st.integers(1, 2))):
             p = p * Poly([-r, 1])
     return p
+
+
+def sides():
+    """A numerator or denominator: a polynomial of degree 1 to 8 from
+    `polys`, a nonzero constant or zero."""
+    return st.one_of(polys(), coeffs.map(Poly.constant))
 
 
 def to_sympy(p: Poly):
@@ -70,3 +76,15 @@ def test_gcd_is_the_monic_gcd(a, b, common):
     for r in common:
         a, b = a * Poly([-r, 1]), b * Poly([-r, 1])
     assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b)).monic())
+
+
+@slow
+@given(sides(), sides().filter(lambda p: not p.is_zero()), st.lists(roots, max_size=2))
+def test_canonical_form_is_the_cancelled_quotient(a, b, common):
+    for r in common:
+        a, b = a * Poly([-r, 1]), b * Poly([-r, 1])
+    num, den = sympy.fraction(sympy.cancel(to_sympy(a).as_expr() / to_sympy(b).as_expr()))
+    num, den = sympy.Poly(num, X, domain="QQ"), sympy.Poly(den, X, domain="QQ")
+    lc = den.LC()
+    f = RatFun(a, b)
+    assert (f.num, f.den) == (from_sympy(num.exquo_ground(lc)), from_sympy(den.monic()))
