@@ -9,7 +9,9 @@ expansion, the boolean operations, `superset_of` and the minimal-period
 fold are integer operations.  No operation lists the points of a segment:
 the cost grows with the number of segments and the moduli, not with the
 distance between points.  Only `plus`, `minus`, `elements` and `render`
-list points, because their result is a point list.
+list points, because their result is a point list.  The boolean operations
+emit their result's segments in canonical form as they walk both sets, and
+do not re-normalise it through the constructor.
 
 This class of sets is closed under boolean algebra, is exactly the class of
 zero sets of representable sequences, and makes every predicate here total
@@ -200,7 +202,8 @@ def _overlay(s: "SetDescriptor", t: "SetDescriptor"):
     """The runs (start, stop, period, pattern of s, pattern of t) that cover
     the segments of both sets, in order, on each of which both sets follow
     one membership pattern over a shared period.  Outside these runs both
-    sets follow their tails."""
+    sets follow their tails.  The runs are sorted and disjoint, and a run of
+    one point has period 1: its patterns are the two membership bits."""
     ss, ts = s.segments, t.segments
     i = j = lo = 0
     a = ss[0] if ss else _NONE
@@ -218,7 +221,9 @@ def _overlay(s: "SetDescriptor", t: "SetDescriptor"):
             q, pb, stop = t.modulus, t.tail, b[0]
         if stop < hi:
             hi = stop
-        if p != q:
+        if hi - lo == 1:
+            pa, pb, p = pa >> lo % p & 1, pb >> lo % q & 1, 1
+        elif p != q:
             r = lcm(p, q)
             pa, pb, p = _spread(pa, p, r), _spread(pb, q, r), r
         yield lo, hi, p, pa, pb
@@ -381,13 +386,30 @@ class SetDescriptor:
         return self._combine(other, and_)
 
     def _combine(self, other: "SetDescriptor", op) -> "SetDescriptor":
+        """The set op(self, other), canonical in one pass: the tail is folded
+        first, and each `_overlay` run, already sorted and disjoint, goes
+        straight to `_append` against it, so nothing is sorted, scanned for
+        overlaps or folded again.  A one-point run flips with period 1."""
         m = lcm(self.modulus, other.modulus)
         tail = op(_spread(self.tail, self.modulus, m), _spread(other.tail, other.modulus, m))
-        flips = []
+        period, folded = _fold(tail, m)
+        out: list[Segment] = []
         for lo, hi, q, a, b in _overlay(self, other):
-            r = lcm(q, m)
-            flips.append((lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r)))
-        return SetDescriptor(m, pattern=tail, flips=flips)
+            if hi - lo == 1:
+                _append(out, period, folded, lo, hi, 1, op(a, b) ^ folded >> lo % period & 1)
+            else:
+                r = lcm(q, m)
+                _append(out, period, folded, lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r))
+        return SetDescriptor._canonical(period, folded, tuple(out))
+
+    @classmethod
+    def _canonical(cls, modulus: int, tail: int, segments: tuple[Segment, ...]) -> "SetDescriptor":
+        """The descriptor with parts already in canonical form, built past `__init__`."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "modulus", modulus)
+        object.__setattr__(s, "tail", tail)
+        object.__setattr__(s, "segments", segments)
+        return s
 
     def superset_of(self, other: "SetDescriptor", up_to_finite: bool = False) -> bool:
         """Whether all points of `other` are members, or, `up_to_finite`, all

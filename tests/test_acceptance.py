@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from gen import random_ideal_member, random_rseq
@@ -185,7 +186,9 @@ def test_criterion_8_series_suite():
 
 def test_criterion_9_determinism():
     with criterion(9, "check all is byte-identical for a fixed GSC_SEED"):
-        env = dict(os.environ, GSC_SEED="314159")
+        # pyproject's pytest `pythonpath` does not reach a child process.
+        path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, GSC_SEED="314159", PYTHONPATH=path)
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "gscalars.cli", "check", "all"],

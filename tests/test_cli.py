@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -491,7 +492,9 @@ class TestErrorDetail:
 
 class TestDeterminism:
     def _spawn(self, *args, seed="4242"):
-        env = dict(os.environ, GSC_SEED=seed)
+        # pyproject's pytest `pythonpath` does not reach a child process.
+        path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, GSC_SEED=seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "gscalars.cli", *args],
             capture_output=True,

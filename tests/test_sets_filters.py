@@ -1,10 +1,18 @@
 from math import lcm
+from operator import and_, or_, xor
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gscalars.errors import InvalidFilter
-from gscalars.sets_filters import FilterDescriptor, SetDescriptor, check_filter_axioms, minimal_period
+from gscalars.sets_filters import (
+    FilterDescriptor,
+    SetDescriptor,
+    _overlay,
+    _spread,
+    check_filter_axioms,
+    minimal_period,
+)
 
 WINDOW = 200
 
@@ -315,6 +323,34 @@ def flip_references(draw):
     return FlipRef(m, draw(st.sets(st.integers(0, m - 1))), flips, draw(points), draw(points))
 
 
+def assert_canonical(s: SetDescriptor) -> None:
+    for (start, stop, _, _), (after, _, _, _) in zip(s.segments, s.segments[1:]):
+        assert stop <= after
+    tail = SetDescriptor(s.modulus, s.residues)
+    for start, stop, p, pattern in s.segments:
+        assert start < stop and 0 <= pattern < 1 << p
+        # each segment begins and ends where the set leaves its tail
+        assert s.member(start) != tail.member(start)
+        assert s.member(stop - 1) != tail.member(stop - 1)
+    assert tail.modulus == s.modulus
+
+
+def parts(s: SetDescriptor) -> tuple:
+    return s.modulus, s.tail, s.segments
+
+
+def constructor_combine(s: SetDescriptor, t: SetDescriptor, op) -> SetDescriptor:
+    """op(s, t) built by the public constructor: each `_overlay` run as a
+    flip against the unfolded lcm tail, sorted, checked and folded again."""
+    m = lcm(s.modulus, t.modulus)
+    tail = op(_spread(s.tail, s.modulus, m), _spread(t.tail, t.modulus, m))
+    flips = []
+    for lo, hi, q, a, b in _overlay(s, t):
+        r = lcm(q, m)
+        flips.append((lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r)))
+    return SetDescriptor(m, pattern=tail, flips=flips)
+
+
 class TestSegmentsAgainstReference:
     @given(flip_references())
     def test_overlapping_flips_and_points(self, a):
@@ -329,16 +365,13 @@ class TestSegmentsAgainstReference:
 
     @given(references())
     def test_canonical_form(self, a):
-        s = a.descriptor()
-        for (start, stop, _, _), (after, _, _, _) in zip(s.segments, s.segments[1:]):
-            assert stop <= after
-        tail = SetDescriptor(s.modulus, s.residues)
-        for start, stop, p, pattern in s.segments:
-            assert start < stop and 0 <= pattern < 1 << p
-            # each segment begins and ends where the set leaves its tail
-            assert s.member(start) != tail.member(start)
-            assert s.member(stop - 1) != tail.member(stop - 1)
-        assert SetDescriptor(s.modulus, s.residues).modulus == s.modulus
+        assert_canonical(a.descriptor())
+
+    @given(references(), references())
+    def test_boolean_results_are_canonical(self, a, b):
+        sa, sb = a.descriptor(), b.descriptor()
+        for s in (sa.union(sb), sa.intersect(sb), sa.complement()):
+            assert_canonical(s)
 
     @given(references(), references())
     def test_union_intersect_complement(self, a, b):
@@ -358,6 +391,26 @@ class TestSegmentsAgainstReference:
         assert (sa == sb) == all(a(n) == b(n) for n in points)
         if sa == sb:
             assert hash(sa) == hash(sb)
+
+    @given(references(), references())
+    def test_combine_matches_constructor(self, a, b):
+        sa, sb = a.descriptor(), b.descriptor()
+        for op in (and_, or_, xor):
+            got, want = sa._combine(sb, op), constructor_combine(sa, sb, op)
+            assert parts(got) == parts(want)
+            assert got == want and hash(got) == hash(want)
+
+    def test_one_point_runs_over_different_periods(self):
+        a = SetDescriptor(6, (1,), plus={8})  # {8} | 1 mod 6
+        b = SetDescriptor(4, (0,), plus={7})  # 0 mod 4 | {7}
+        # 7 and 8 are one-point runs, each against the other set's tail.
+        assert [run[:3] for run in _overlay(a, b)] == [(7, 8, 1), (8, 9, 1)]
+        meet = a.intersect(b)
+        assert parts(meet) == (1, 0, ((7, 9, 1, 1),))
+        for op in (and_, or_, xor):
+            got, want = a._combine(b, op), constructor_combine(a, b, op)
+            assert parts(got) == parts(want)
+            assert all(got.member(n) == op(a.member(n), b.member(n)) for n in range(48))
 
     def test_equal_sets_cut_differently(self):
         run = SetDescriptor(1, flips=[(5, 8, 2, 0b10)])  # the odd points of [5, 8)
