@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import expr as expr_mod
 from .errors import Error, InvalidArgument, NumberTooLarge, ZeroDivisor
@@ -49,16 +48,6 @@ def parse_filter_flag(text: str) -> FilterDescriptor:
         base = expr_mod.eval_set(expr_mod.parse_set(set_text))
         return FilterDescriptor(base, cofinite=name == "frechet")
     raise InvalidArgument(f"unknown filter {text!r}; use frechet, frechet:<set> or principal:<set>")
-
-
-def render_value(value) -> str:
-    if isinstance(value, Scalar):
-        return f"{expr_mod.render_rseq(value.rep)} [{classify(value)}]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return expr_mod.number_text(value)
-    return str(value)
 
 
 def error_line(err: Error) -> str:
@@ -127,7 +116,7 @@ def main(argv=None, out=None) -> int:
         filt = parse_filter_flag(args.filter)
         if args.command == "eval":
             value = expr_mod.evaluate(expr_mod.parse(args.expression), filt)
-            print(render_value(value), file=out)
+            print(expr_mod.render_value(value), file=out)
         elif args.command == "classify":
             [scalar] = expr_mod.evaluate_scalars([args.expression], filt)
             print(classify(scalar), file=out)
@@ -136,7 +125,7 @@ def main(argv=None, out=None) -> int:
             sums = partial_sums(scalar.rep)
             verdict = sums.classify_bounded()
             total = "" if verdict.limit is None else f"({expr_mod.number_text(verdict.limit)})"
-            value = render_value(Scalar(sums, filt))
+            value = expr_mod.render_value(Scalar(sums, filt))
             print(f"verdict: {SERIES_VERDICTS[verdict.kind]}{total}", file=out)
             print(f"value: {value}", file=out)
         else:

@@ -425,12 +425,23 @@ def eval_set(node) -> SetDescriptor:
     raise TypeError(f"not a set node: {node!r}")
 
 
+def render_value(value) -> str:
+    """A value of `evaluate` as gsc prints it."""
+    if isinstance(value, Scalar):
+        return f"{render_rseq(value.rep)} [{classify(value)}]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return number_text(value)
+    return str(value)
+
+
 def _as_scalar(value, f: FilterDescriptor) -> Scalar:
     if isinstance(value, Scalar):
         return value
     if isinstance(value, Fraction):
         return embed(value, f)
-    raise TypeMismatch(f"expected a scalar, got {value!r}")
+    raise TypeMismatch(f"expected a scalar, got {render_value(value)}")
 
 
 def _scalar(node, f: FilterDescriptor) -> Scalar:

@@ -9,9 +9,12 @@ expansion, the boolean operations, `superset_of` and the minimal-period
 fold are integer operations.  No operation lists the points of a segment:
 the cost grows with the number of segments and the moduli, not with the
 distance between points.  Only `plus`, `minus`, `elements` and `render`
-list points, because their result is a point list.  The boolean operations
-emit their result's segments in canonical form as they walk both sets, and
-do not re-normalise it through the constructor.
+list points, because their result is a point list.  The constructor sweeps
+the sorted cuts (flip starts and stops, points n and n + 1) once, keeping
+one xor of the open flips for each period, so it costs the number of cuts
+times the number of periods open together.  The boolean operations emit
+their result's segments in canonical form as they walk both sets, and do
+not re-normalise it through the constructor.
 
 This class of sets is closed under boolean algebra, is exactly the class of
 zero sets of representable sequences, and makes every predicate here total
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import and_, or_, xor
 
 from .errors import InvalidFilter, ModulusTooLarge
@@ -142,44 +145,34 @@ def _append(out: list[Segment], modulus: int, tail: int, lo: int, hi: int, q: in
 def _normal_segments(modulus: int, tail: int, flips, plus: set[int], minus: set[int]) -> tuple[Segment, ...]:
     """The segments of the set that follows the tail except where `flips`
     (start, stop, period, flipped residues) flip it, overlapping flips
-    cancelling, and that holds `plus` and avoids `minus` but not `plus`."""
-    flips = sorted(f for f in flips if f[0] < f[1])
-    if flips and (plus or minus or any(a[1] > b[0] for a, b in zip(flips, flips[1:]))):
-        flips = _disjoint(modulus, tail, flips, plus, minus)
-    elif plus or minus:
-        flips = [(n, n + 1, 1, 1) for n in sorted(plus | minus) if (n in plus) != (tail >> n % modulus & 1)]
-    out: list[Segment] = []
-    for f in flips:
-        _append(out, modulus, tail, *f)
-    return tuple(out)
-
-
-def _disjoint(modulus: int, tail: int, flips: list[Segment], plus: set[int], minus: set[int]) -> list[Segment]:
-    """The sorted `flips` and the points as disjoint flips."""
+    cancelling, and that holds `plus` and avoids `minus` but not `plus`.
+    Each piece between two cuts is flipped by the xors of the open flips,
+    kept per period and spread to the lcm of the periods open on it; a
+    point's one-point piece is set by the point alone."""
     points = plus | minus
-    cuts = {n for f in flips for n in f[:2]}
-    cuts.update(points)
-    cuts.update(n + 1 for n in points)
-    cuts = sorted(cuts)
-    out = []
-    active: list[Segment] = []
-    i = 0
+    toggles: dict[int, list[tuple[int, int, int]]] = {}
+    for start, stop, p, mask in flips:
+        if start < stop:
+            toggles.setdefault(start, []).append((p, mask, 1))
+            toggles.setdefault(stop, []).append((p, mask, -1))
+    cuts = sorted({*toggles, *points, *(n + 1 for n in points)})
+    open_: dict[int, list[int]] = {}  # period -> [xor of its open masks, open count]
+    out: list[Segment] = []
     for lo, hi in zip(cuts, cuts[1:]):
-        while i < len(flips) and flips[i][0] == lo:
-            active.append(flips[i])
-            i += 1
+        for p, mask, step in toggles.get(lo, ()):
+            acc = open_.setdefault(p, [0, 0])
+            acc[0] ^= mask
+            acc[1] += step
+            if not acc[1]:
+                del open_[p]
         if lo in points:
-            # [lo, hi) is the single point lo.
             if (lo in plus) != (tail >> lo % modulus & 1):
-                out.append((lo, hi, 1, 1))
-        elif active:
-            active = [f for f in active if f[1] > lo]
-            q = lcm(*(f[2] for f in active))
-            mask = 0
-            for f in active:
-                mask ^= _spread(f[3], f[2], q)
-            out.append((lo, hi, q, mask))
-    return out
+                _append(out, modulus, tail, lo, hi, 1, 1)
+        elif open_:
+            q = lcm(*open_)
+            mask = reduce(xor, (_spread(acc, p, q) for p, (acc, _) in open_.items()))
+            _append(out, modulus, tail, lo, hi, q, mask)
+    return tuple(out)
 
 
 def _pieces(s: "SetDescriptor"):
@@ -253,14 +246,15 @@ class SetDescriptor:
     tail: int
     segments: tuple[Segment, ...]
 
-    def __init__(self, modulus: int, residues=(), plus=(), minus=(), *, pattern: int = 0, flips=()):
+    def __init__(self, modulus: int, residues=(), plus=(), minus=(), *, flips=()):
         """n is a member iff n is in `plus`, or n is not in `minus` and the
-        tail (`residues` mod modulus, or the same as the bitmask `pattern`)
-        holds n, flipped once by each (start, stop, period, mask) of `flips`
-        with start <= n < stop and bit n % period of mask set."""
+        tail (`residues` mod modulus) holds n, flipped once by each (start,
+        stop, period, mask) of `flips` with start <= n < stop and bit
+        n % period of mask set."""
         if modulus < 1:
             raise ValueError("modulus must be positive")
         lcm(modulus)  # refuses a modulus past MAX_MODULUS
+        pattern = 0
         for r in residues:
             pattern |= 1 << r % modulus
         plus, minus = set(plus), set(minus)

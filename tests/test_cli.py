@@ -351,6 +351,11 @@ class TestOrderAtScale:
         assert run_cli("eval", "le(n, 100000000)") == (0, "false\n")
         assert run_cli("eval", "le(100000000, n)") == (0, "true\n")
 
+    @pytest.mark.parametrize("filt, expected", [("principal:0 mod 2", "false"), ("principal:{1,2}", "true")])
+    def test_le_against_a_long_period(self, filt, expected):
+        # Each of the 4000 branches gives the sign set a run below 8000, and the runs overlap.
+        assert run_cli("eval", f"--filter={filt}", "le(n, 8000 + ind(0 mod 4000))") == (0, expected + "\n")
+
     def test_archimedean_at_ten_thousand_passes(self):
         code, text = run_cli("check", "archimedean", "--kmax", "10000")
         checks = [line for line in text.splitlines() if not line.endswith(" passed, 0 failed")]
@@ -436,6 +441,13 @@ class TestErrorDetail:
         captured = capsys.readouterr()
         assert captured.out == "error: NotStandardizable\n"
         assert "an infinite branch blocks the standard part" in captured.err
+
+    @pytest.mark.parametrize("expression, shown", [("class(n) + 1", "Infinite"), ("eq(n, n) + 1", "true")])
+    def test_type_mismatch_names_the_value_as_printed(self, capsys, expression, shown):
+        assert main(["eval", expression]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "error: TypeMismatch\n"
+        assert captured.err == f"expected a scalar, got {shown}\n"
 
     @pytest.mark.parametrize("expression", ["ind(0 mod 1000000)", "ind(0 mod 9973) * ind(0 mod 9967)"])
     def test_modulus_above_the_limit(self, capsys, expression):

@@ -4,7 +4,8 @@ from operator import and_, or_, xor
 import pytest
 from hypothesis import given, strategies as st
 
-from gscalars.errors import InvalidFilter
+from gscalars import sets_filters
+from gscalars.errors import InvalidFilter, ModulusTooLarge
 from gscalars.sets_filters import (
     FilterDescriptor,
     SetDescriptor,
@@ -348,7 +349,7 @@ def constructor_combine(s: SetDescriptor, t: SetDescriptor, op) -> SetDescriptor
     for lo, hi, q, a, b in _overlay(s, t):
         r = lcm(q, m)
         flips.append((lo, hi, r, _spread(op(a, b), q, r) ^ _spread(tail, m, r)))
-    return SetDescriptor(m, pattern=tail, flips=flips)
+    return SetDescriptor(m, [r for r in range(m) if tail >> r & 1], flips=flips)
 
 
 class TestSegmentsAgainstReference:
@@ -441,6 +442,43 @@ class TestSegmentsAgainstReference:
         assert FilterDescriptor.principal(both).contains(run)
         assert not FilterDescriptor.frechet().contains(run.complement().intersect(evens))
         assert run.sample(2) == [10**6, 10**6 + 1]
+
+
+class TestFlipSweep:
+    """The constructor sweeps the cuts once, keeping one xor per open period."""
+
+    def test_same_period_flips_cost_one_spread_per_piece(self, monkeypatch):
+        k, calls = 200, 0
+        spread = sets_filters._spread
+
+        def counting(mask, p, q):
+            nonlocal calls
+            calls += 1
+            return spread(mask, p, q)
+
+        monkeypatch.setattr(sets_filters, "_spread", counting)
+        # Each n is flipped once: below k by the flip of residue n, from k on by that of n % k.
+        s = SetDescriptor(1, flips=[(r, 10**6, k, 1 << r) for r in range(k)])
+        assert s.segments == ((0, 10**6, 1, 1),)
+        assert calls <= 3 * k
+
+    def test_many_flips_of_one_period_with_points_inside(self):
+        flips = [(3 * i, 3 * i + 50 + i, 7, (37 * i + 5) % 128) for i in range(60)]
+        ref = FlipRef(3, {1}, flips, {10, 55, 120, 250}, {11, 55, 56, 121, 200})
+        s = SetDescriptor(ref.m, ref.tail, plus=ref.plus, minus=ref.minus, flips=flips)
+        assert pieces_agree(s, ref, [ref])
+        assert_canonical(s)
+
+    def test_lcm_is_taken_over_flips_open_together(self):
+        big = (0, 10, 99991, 1)
+        assert SetDescriptor(1, flips=[big, (20, 30, 7, 1)]).segments == ((0, 1, 1, 1), (21, 29, 7, 1))
+        with pytest.raises(ModulusTooLarge):
+            SetDescriptor(1, flips=[big, (5, 30, 7, 1)])
+        with pytest.raises(ModulusTooLarge):  # a lone period past the limit, even with no bit in its run
+            SetDescriptor(1, flips=[(0, 5, 200000, 1 << 10)])
+        # Each piece of the chain has at most one period past 1 open.
+        chain = SetDescriptor(1, flips=[big, (5, 20, 1, 1), (15, 30, 7, 1)])
+        assert [n for n in range(40) if n in chain] == [0, *range(5, 20), 21, 28]
 
 
 @given(st.integers(1, 60), st.data())
