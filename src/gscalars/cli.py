@@ -20,7 +20,7 @@ from .quotient import Scalar, classify, scalar_eq
 from .seqrep import BSeqVerdict
 from .series import partial_sums
 from .sets_filters import FilterDescriptor
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITES, run_suite
 
 DEFAULT_SEED = 1729
 
@@ -101,7 +101,7 @@ def main(argv=None, out=None) -> int:
     p_oracle.add_argument("--check", default="all", choices=["galois", "maximal-prime", "all"])
 
     p_check = sub.add_parser("check", help="run a named verification suite")
-    p_check.add_argument("suite", choices=[*SUITE_NAMES, "all"])
+    p_check.add_argument("suite", choices=[*SUITES, "all"])
     p_check.add_argument("--kmax", type=int, default=1000)
 
     args = parser.parse_args(argv)

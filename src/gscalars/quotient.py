@@ -142,18 +142,21 @@ def _relevant_limits(a: Scalar) -> list:
 
 def classify(a: Scalar) -> Classification:
     """Zero / Infinitesimal / Appreciable / Infinite / Mixed, read off the
-    relevant branch limits.  In Q^B, under a principal filter, a nonzero
-    class is Appreciable when bounded on B and Mixed when not."""
+    verdict on the relevant branch limits that `standard_part` reads: a
+    bounded class is Infinitesimal when it converges to 0, and an unbounded
+    one Infinite when no relevant limit is finite.  In Q^B, under a
+    principal filter, a nonzero class is Appreciable when bounded on B and
+    Mixed when not."""
     if a.is_zero():
         return Classification.ZERO
     limits = _relevant_limits(a)
-    bounded = all(l.is_finite for l in limits)
+    verdict = BSeqVerdict.of(limits)
+    bounded = verdict.kind != BSeqVerdict.UNBOUNDED
     if not a.filter.cofinite:
         return Classification.APPRECIABLE if bounded else Classification.MIXED
     if bounded:
-        zero = all(l.value == 0 for l in limits)
-        return Classification.INFINITESIMAL if zero else Classification.APPRECIABLE
-    if all(not l.is_finite for l in limits):
+        return Classification.INFINITESIMAL if verdict.limit == 0 else Classification.APPRECIABLE
+    if not any(l.is_finite for l in limits):
         return Classification.INFINITE
     return Classification.MIXED
 

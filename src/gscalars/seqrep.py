@@ -202,13 +202,13 @@ class RSeq:
     def sign_set(self, signs) -> SetDescriptor:
         """Exactly { n | sign(self(n)) in signs } as a set descriptor.
 
-        A branch keeps one nonzero sign on its class between consecutive sign
-        breaks, and that of its leading coefficient past the last one, so one
-        probe decides a gap, which differs from the tail by one segment of
-        flips or not at all.  Only break points and exceptions are evaluated.
-        When `signs` holds both or neither of -1 and 1, every gap agrees with
-        the tail, and only the numerator's natural roots and the exceptions
-        (among them every denominator root in the class) can deviate from it.
+        Sign breaks come from real roots, so a branch keeps one nonzero sign
+        on every natural between consecutive breaks, and that of its leading
+        coefficient past the last one.  One probe at a gap's first natural
+        decides it, and the gap differs from the tail by one segment of flips
+        or not at all.  When `signs` holds both or neither of -1 and 1, every
+        gap agrees with the tail and none is probed.  Besides the probes, only
+        the breaks in the class and the exceptions are evaluated.
         """
         m = self.modulus
         probe = (1 in signs) != (-1 in signs)
@@ -217,15 +217,10 @@ class RSeq:
             eventual = sign(br.num.lead) in signs  # the denominator is monic
             if eventual:
                 residues.append(r)
-            if not probe:
-                if br.num.degree > 0:
-                    points.update(n for n in integer_roots_nonneg(br.num) if n % m == r)
-                continue
             lo = 0
             for c in sign_breaks(br):
-                first = lo + (r - lo) % m
-                if first < c and (sign(br(first)) in signs) != eventual:
-                    runs.append((first, c, m, 1 << r))
+                if probe and lo < c and (sign(br(lo)) in signs) != eventual:
+                    runs.append((lo, c, m, 1 << r))
                 if c % m == r:
                     points.add(c)
                 lo = c + 1

@@ -6,6 +6,7 @@ the seed from GSC_SEED so repeated runs are byte identical.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .galois import roundtrip_filter
@@ -14,15 +15,6 @@ from .report import Report
 from .sampling import random_convergent_rseq, random_principal_filter, sample_sets
 from .series import banach_bounds_check, shift_invariance_impossibility
 from .sets_filters import FilterDescriptor, check_filter_axioms
-
-SUITE_NAMES = (
-    "filter-axioms",
-    "galois-roundtrip",
-    "archimedean",
-    "shift-impossibility",
-    "banach-bounds",
-)
-
 
 # Random principal filters and sample sets per filter of the two per-filter
 # suites, and the sequences the Banach-bounds suite draws.
@@ -67,30 +59,22 @@ def suite_archimedean(kmax: int = 1000) -> list[Report]:
     return [report, control]
 
 
-def suite_shift_impossibility() -> list[Report]:
-    return [shift_invariance_impossibility()]
-
-
-def suite_banach_bounds(seed: int) -> list[Report]:
-    rng = random.Random(seed)
-    samples = [random_convergent_rseq(rng) for _ in range(BANACH_SAMPLES)]
-    return [banach_bounds_check(samples)]
+# The suites by name, in the order `gsc check all` runs them; each entry
+# takes (seed, kmax) and looks its functions up when it runs.
+SUITES = {
+    "filter-axioms": lambda seed, kmax: suite_filter_axioms(seed),
+    "galois-roundtrip": lambda seed, kmax: suite_galois_roundtrip(seed),
+    "archimedean": lambda seed, kmax: suite_archimedean(kmax),
+    "shift-impossibility": lambda seed, kmax: [shift_invariance_impossibility()],
+    "banach-bounds": lambda seed, kmax: [banach_bounds_check(
+        [random_convergent_rseq(rng) for rng in itertools.repeat(random.Random(seed), BANACH_SAMPLES)]
+    )],
+}
 
 
 def run_suite(name: str, seed: int, kmax: int = 1000) -> list[Report]:
-    if name == "filter-axioms":
-        return suite_filter_axioms(seed)
-    if name == "galois-roundtrip":
-        return suite_galois_roundtrip(seed)
-    if name == "archimedean":
-        return suite_archimedean(kmax)
-    if name == "shift-impossibility":
-        return suite_shift_impossibility()
-    if name == "banach-bounds":
-        return suite_banach_bounds(seed)
     if name == "all":
-        reports = []
-        for suite in SUITE_NAMES:
-            reports.extend(run_suite(suite, seed, kmax))
-        return reports
-    raise ValueError(f"unknown suite {name!r}")
+        return [report for run in SUITES.values() for report in run(seed, kmax)]
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return SUITES[name](seed, kmax)

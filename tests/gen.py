@@ -5,6 +5,7 @@ so a seeded test sees the same values on every run.  The generators that
 `gsc check` and the benchmark draw from are in `gscalars.sampling`.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,40 @@ def random_rseq(rng: random.Random, max_modulus: int = 4, max_degree: int = 2) -
     branches = [random_ratfun(rng, max_degree) for _ in range(m)]
     exceptions = {rng.randint(0, 20): random_rat(rng) for _ in range(rng.randint(0, 2))}
     return RSeq(m, branches, exceptions)
+
+
+def _root_factor(rng: random.Random) -> Poly:
+    """A monic factor with a nonnegative real root at most 40: n - a for a
+    natural a, n - p/q for a fraction, or n^2 - q for a non-square q."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Poly((-rng.randint(0, 40), 1))
+    if kind == 1:
+        return Poly((-Fraction(rng.randint(1, 80), rng.randint(2, 5)), 1))
+    q = rng.randint(2, 1600)
+    while math.isqrt(q) ** 2 == q:
+        q += 1
+    return Poly((-q, 0, 1))
+
+
+def random_breaking_rseq(rng: random.Random, max_modulus: int = 12) -> RSeq:
+    """Up to three distinct branches repeated over as many as `max_modulus`
+    classes, whose numerators and denominators have natural, rational and
+    irrational roots in [0, 40].  Every natural root of a denominator is an
+    exception, and so are a few other points up to 60."""
+    pool = []
+    for _ in range(rng.randint(1, 3)):
+        num, den = random_poly(rng, 1), safe_denominator(rng, 1)
+        for _ in range(rng.randint(0, 3)):
+            num = num * _root_factor(rng)
+        for _ in range(rng.randint(0, 2)):
+            den = den * _root_factor(rng)
+        pool.append(RatFun(num, den))
+    m = rng.randint(1, max_modulus)
+    points = [n for br in pool for n in range(41) if br.den(n) == 0]
+    points += [rng.randint(0, 60) for _ in range(rng.randint(0, 2))]
+    exceptions = {n: rng.choice([Fraction(0), random_rat(rng)]) for n in points}
+    return RSeq(m, [rng.choice(pool) for _ in range(m)], exceptions)
 
 
 def random_poly_rseq(rng: random.Random, max_modulus: int = 4, max_degree: int = 3) -> RSeq:

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from gen import random_rseq
-from scan import horner, int_branches, root_free_beyond
+from gen import random_breaking_rseq, random_rseq
+from scan import branch_polys, horner, int_branches, root_free_beyond
 
 from gscalars.errors import MissingException, ModulusTooLarge, NotConvergent, UnboundedSequence
-from gscalars.exactnum import Poly, RatFun
+from gscalars import seqrep
+from gscalars.exactnum import Poly, RatFun, sign
 from gscalars.sampling import random_convergent_rseq, random_nonempty_set, random_rat, random_set
 from gscalars.seqrep import MAX_MODULUS, BSeqVerdict, RSeq, indicator, make_constant, make_identity
 from gscalars.sets_filters import FilterDescriptor, SetDescriptor
@@ -193,6 +194,40 @@ class TestZeroSet:
             for subset in subsets:
                 s = x.sign_set(subset)
                 assert [s.member(n) for n in range(WINDOW)] == [v in subset for v in signs]
+
+    def test_matches_pointwise_signs_across_denominator_breaks(self):
+        # safe_denominator has no root above -1, so test_matches_window meets
+        # no denominator break; here they sit among the numerator's breaks,
+        # at naturals, fractions and irrationals, on up to 12 classes.
+        rng = random.Random(43)
+        subsets = [set(s) for k in (1, 2, 3) for s in itertools.combinations((-1, 0, 1), k)]
+        for _ in range(80):
+            x = random_breaking_rseq(rng)
+            window = max(root_free_beyond(branch_polys(x)), *x.exceptions, 0) + 2 * x.modulus + 1
+            signs = [sign(x.eval(n)) for n in range(window)]
+            for subset in subsets:
+                s = x.sign_set(subset)
+                assert [s.member(n) for n in range(window)] == [v in subset for v in signs]
+
+    def test_zero_set_walks_each_branch_once(self, monkeypatch):
+        """The zero set reads one sign walk per branch and isolates no natural
+        roots on its own."""
+        x = RSeq(3, [RatFun(poly(-6, 1)), RatFun(poly(-16, 0, 1)), RatFun(poly(-1, 1), poly(2, 1))])
+        calls = {"integer_roots_nonneg": 0, "sign_breaks": 0}
+
+        def counting(name):
+            original = getattr(seqrep, name)
+
+            def wrapper(arg):
+                calls[name] += 1
+                return original(arg)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(seqrep, name, counting(name))
+        z = x.sign_set({0})
+        assert calls == {"integer_roots_nonneg": 0, "sign_breaks": 3}
+        assert set(z.elements()) == {n for n in range(60) if x.eval(n) == 0} == {4, 6}
 
     def test_filter_holds_matches_sign_set(self):
         # A cofinite filter reads only sign_tail, which must be the tail of
