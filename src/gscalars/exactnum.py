@@ -4,12 +4,12 @@ Everything here is arbitrary precision: rationals are `fractions.Fraction`
 (re-exported as `Rat`), polynomials keep Fraction coefficients in ascending
 order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
-meaningful; a constant numerator or denominator is coprime to the other
-side, so it takes no gcd.  The asymptotic helpers (limit at infinity, sign
-breaks from Sturm root isolation, eventual sign, nonnegative integer roots)
-are the analysis primitives every other module leans on.  Gcds, the cancellation
-of common factors and root isolation clear denominators once and then work
-over Z, while `Poly` and `RatFun` keep their Fraction coefficients:
+meaningful.  Inputs are converted and validated at the public constructors;
+ring results are built already canonical past them, and a constant side takes
+no gcd.  The asymptotic helpers (limit at infinity, sign breaks from Sturm
+root isolation, eventual sign, nonnegative integer roots) are the analysis
+primitives every other module leans on.  Gcds, the cancellation of common
+factors and root isolation clear denominators once and then work over Z:
 `poly_gcd`, the squarefree part and the Sturm chain all come from one
 primitive pseudo-remainder sequence, a common factor cancels by exact
 integer division, and root isolation evaluates integer polynomials at
@@ -26,6 +26,7 @@ from math import gcd, lcm
 from .errors import DegreeTooLarge, ZeroDenominator, ZeroPolynomial
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 # Root isolation and the partial sums' interpolation slow down steeply with
 # the degree.  The slowest query measured under the limit, `gsc sum` of a
@@ -57,19 +58,25 @@ class Poly:
     coeffs: tuple[Rat, ...]
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        object.__setattr__(self, "coeffs", Poly._canonical([Fraction(c) for c in coeffs]).coeffs)
+
+    @classmethod
+    def _canonical(cls, cs: list[Rat]) -> "Poly":
+        """The Fraction coefficients `cs` as they are, past `__init__`: only trailing zeros go."""
+        p = object.__new__(cls)
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        return cls((Fraction(c),))
+        return cls._canonical([Fraction(c)])
 
     @classmethod
     def identity(cls) -> "Poly":
         """The polynomial n."""
-        return cls((Fraction(0), Fraction(1)))
+        return cls._canonical([Fraction(0), Fraction(1)])
 
     @property
     def degree(self) -> int:
@@ -85,13 +92,13 @@ class Poly:
         return not self.coeffs
 
     def __call__(self, x) -> Rat:
-        acc = Fraction(0)
+        acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._canonical([-c for c in self.coeffs])
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -100,33 +107,37 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._canonical(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [_ZERO] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return Poly._canonical(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly()
+            return Poly._canonical([])
         _check_degree(self.degree + other.degree)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Poly(out)
+        return Poly._canonical(out)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
-        return Poly(tuple(a * c for a in self.coeffs))
+        return Poly._canonical([a * c for a in self.coeffs])
 
     def shift_arg(self, k: int) -> "Poly":
         """The polynomial p(n + k)."""
         if k == 0 or self.is_zero():
             return self
-        step = Poly((Fraction(k), Fraction(1)))  # n + k
-        acc = Poly()
+        step = Poly._canonical([Fraction(k), Fraction(1)])  # n + k
+        acc = Poly._canonical([])
         for c in reversed(self.coeffs):
             acc = acc * step + Poly.constant(c)
         return acc
@@ -146,7 +157,7 @@ def poly_interpolate(points: list[tuple[int, Rat]]) -> Poly:
     # Horner over the Newton basis.
     poly = Poly.constant(coeffs[-1])
     for i in range(len(points) - 2, -1, -1):
-        poly = poly * Poly((-xs[i], Fraction(1))) + Poly.constant(coeffs[i])
+        poly = poly * Poly._canonical([-xs[i], Fraction(1)]) + Poly.constant(coeffs[i])
     return poly
 
 
@@ -181,6 +192,7 @@ class ExtendedRat:
 
 PLUS_INFINITY = ExtendedRat(1)
 MINUS_INFINITY = ExtendedRat(-1)
+_ONE = Poly.constant(1)  # the denominator of every polynomial RatFun
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,29 +212,35 @@ class RatFun:
         if not isinstance(num, Poly):
             num = Poly.constant(num)
         if den is None:
-            den = Poly.constant(1)
+            den = _ONE
         elif not isinstance(den, Poly):
             den = Poly.constant(den)
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), Poly.constant(1)
-        else:
-            if num.degree > 0 and den.degree > 0 and (g := poly_gcd(num, den)).degree > 0:
-                num, den = _divide(num, g), _divide(den, g)
-            lead = den.lead
-            if lead != 1:
-                num, den = num.scale(1 / lead), den.scale(1 / lead)
+            den = _ONE
+        elif num.degree > 0 and den.degree > 0 and (g := poly_gcd(num, den)).degree > 0:
+            num, den = _divide(num, g), _divide(den, g)
+        if (lead := den.lead) != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> "RatFun":
+        """num/den with parts already in canonical form, built past `__init__`."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @classmethod
     def constant(cls, c) -> "RatFun":
-        return cls(Poly.constant(c))
+        return cls._canonical(Poly.constant(c), _ONE)
 
     @classmethod
     def identity(cls) -> "RatFun":
-        return cls(Poly.identity())
+        return cls._canonical(Poly.identity(), _ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -231,13 +249,15 @@ class RatFun:
         return self.num(n) / self.den(n)
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den)
+        return RatFun._canonical(-self.num, self.den)
 
     # The zero function is canonical 0/1, so a zero operand is answered
     # without the gcd work of a new canonical form.
 
     def _sum(self, other: "RatFun", op) -> "RatFun":
         """op(self, other) for op add or sub, built over the lcm of the denominators."""
+        if self.den.degree == 0 == other.den.degree:  # monic, so both are 1
+            return RatFun._canonical(op(self.num, other.num), _ONE)
         if self.den == other.den:
             return RatFun(op(self.num, other.num), self.den)
         # The product of the denominators is their lcm unless they share a factor.
@@ -265,10 +285,13 @@ class RatFun:
             return self
         if other.is_zero():
             return other
+        if self.den.degree == 0 == other.den.degree:  # monic, so both are 1
+            return RatFun._canonical(self.num * other.num, _ONE)
         return RatFun(self.num * other.num, self.den * other.den)
 
     def scale(self, c) -> "RatFun":
-        return RatFun(self.num.scale(c), self.den)
+        num = self.num.scale(c)
+        return RatFun._canonical(num, self.den if num.coeffs else _ONE)
 
     def reciprocal(self) -> "RatFun":
         if self.is_zero():
@@ -357,7 +380,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     g = _integer_form(a)
     if not b.is_zero():
         g = _remainder_sequence(g, _integer_form(b))[-1]
-    return Poly([Fraction(c, g[-1]) for c in g])
+    return Poly._canonical([Fraction(c, g[-1]) for c in g])
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
@@ -380,7 +403,8 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
 def _divide(a: Poly, g: Poly) -> Poly:
     """a / g, for a nonzero g that divides a, by exact division of their integer forms."""
     cs, gs = _integer_form(a), _integer_form(g)
-    return Poly(_exact_quotient(cs, gs)).scale(a.lead * gs[-1] / (cs[-1] * g.lead))
+    scale = a.lead * gs[-1] / (cs[-1] * g.lead)
+    return Poly._canonical([scale * c for c in _exact_quotient(cs, gs)])
 
 
 def _derivative(cs: list[int]) -> list[int]:

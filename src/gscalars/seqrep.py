@@ -3,9 +3,9 @@ rational-function branches plus finitely many overrides.
 
 This class is closed under the pointwise ring operations and the right
 shift, every zero set is an eventually periodic set, and membership in the
-decidable ideals is therefore computable.  Values are canonical on
-construction (minimal modulus, no redundant overrides), so structural
-equality means pointwise equality.
+decidable ideals is therefore computable.  Values are canonical (minimal
+modulus, no redundant overrides), so structural equality means pointwise
+equality; input is validated at `RSeq(...)`, ring results skip that.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exactnum import (
     sign,
     sign_breaks,
 )
-from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
+from .sets_filters import MAX_MODULUS, SetDescriptor, _fold, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
 
 # A sequence lists its overrides one by one, and the partial sums of a
 # sequence overridden at N override every index up to N; `gsc sum` of
@@ -84,10 +84,11 @@ class RSeq:
     """A representable sequence N -> Q.
 
     eval(n) is the override value when n is an exception key, otherwise
-    branches[n mod modulus](n).  Construction canonicalizes and insists
-    every branch-denominator root inside its class is declared as an
-    exception, so eval is total.  `exceptions` is a dict, so equality and
-    hashing are written out below.
+    branches[n mod modulus](n).  The public constructor validates its input,
+    canonicalizes and insists every branch-denominator root inside its class
+    is declared as an exception, so eval is total; ring results are built
+    canonical past it.  `exceptions` is a dict, so equality and hashing are
+    written out below.
     """
 
     modulus: int
@@ -101,24 +102,26 @@ class RSeq:
             raise ValueError("need one branch per residue class")
         check_overrides(len(exceptions or ()))
         exceptions = {int(n): Fraction(v) for n, v in (exceptions or {}).items()}
-        for n in exceptions:
-            if n < 0:
-                raise ValueError("exception indices must be naturals")
-
-        # Fold to the smallest divisor modulus with identical branch pattern.
-        modulus = minimal_period(
-            modulus, lambda d: all(branches[r] == branches[r % d] for r in range(d, len(branches)))
-        )
-        branches = branches[:modulus]
+        if any(n < 0 for n in exceptions):
+            raise ValueError("exception indices must be naturals")
+        self._set(modulus, branches, exceptions)
 
         # Totality: every denominator root in its class must be overridden.
-        for r, br in enumerate(branches):
+        for r, br in enumerate(self.branches):
             if br.den.degree > 0:
                 for n in integer_roots_nonneg(br.den):
-                    if n % modulus == r and n not in exceptions:
+                    if n % self.modulus == r and n not in self.exceptions:
                         raise MissingException(
                             f"branch denominator vanishes at n={n}; declare an exception"
                         )
+
+    def _set(self, modulus: int, branches: tuple[RatFun, ...], exceptions: dict[int, Rat]) -> "RSeq":
+        # Fold to the smallest divisor modulus with identical branch pattern.
+        if modulus > 1:
+            modulus = minimal_period(
+                modulus, lambda d: all(branches[r] == branches[r % d] for r in range(d, len(branches)))
+            )
+            branches = branches[:modulus]
 
         # Drop overrides that agree with their branch.
         pruned = {}
@@ -131,6 +134,14 @@ class RSeq:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "exceptions", pruned)
+        return self
+
+    @classmethod
+    def _canonical(cls, modulus: int, branches: tuple[RatFun, ...], exceptions: dict[int, Rat]) -> "RSeq":
+        """Valid parts, folded and pruned past `__init__`.  Ring results skip its
+        totality check: a result denominator divides a product of operand ones,
+        so its natural roots are operand overrides, and pruning keeps them."""
+        return object.__new__(cls)._set(modulus, branches, exceptions)
 
     # -- evaluation --------------------------------------------------------
 
@@ -148,9 +159,9 @@ class RSeq:
     def _merge(self, other: "RSeq", op) -> "RSeq":
         """op (add, sub or mul) applied branch by branch and at every override."""
         m = lcm(self.modulus, other.modulus)
-        branches = [op(self.branches[r % self.modulus], other.branches[r % other.modulus]) for r in range(m)]
-        keys = set(self.exceptions) | set(other.exceptions)
-        return RSeq(m, branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
+        branches = tuple(op(self.branches[r % self.modulus], other.branches[r % other.modulus]) for r in range(m))
+        keys = self.exceptions.keys() | other.exceptions.keys()
+        return RSeq._canonical(m, branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
 
     def __add__(self, other: "RSeq") -> "RSeq":
         return self._merge(other, operator.add)
@@ -162,19 +173,12 @@ class RSeq:
         return self._merge(other, operator.mul)
 
     def __neg__(self) -> "RSeq":
-        return RSeq(
-            self.modulus,
-            [-b for b in self.branches],
-            {n: -v for n, v in self.exceptions.items()},
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "RSeq":
         c = Fraction(c)
-        return RSeq(
-            self.modulus,
-            [b.scale(c) for b in self.branches],
-            {n: v * c for n, v in self.exceptions.items()},
-        )
+        branches = tuple(b.scale(c) for b in self.branches)
+        return RSeq._canonical(self.modulus, branches, {n: v * c for n, v in self.exceptions.items()})
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.branches) and not self.exceptions
@@ -231,7 +235,8 @@ class RSeq:
         """The periodic tail of `sign_set(signs)`, which differs from it at
         finitely many points: the classes whose leading coefficient has a
         sign in `signs`."""
-        return SetDescriptor(self.modulus, [r for r, br in enumerate(self.branches) if sign(br.num.lead) in signs])
+        mask = sum(1 << r for r, br in enumerate(self.branches) if sign(br.num.lead) in signs)
+        return SetDescriptor._canonical(*_fold(mask, self.modulus), ())
 
     def zero_set(self) -> SetDescriptor:
         """Exactly { n | self(n) = 0 } as a set descriptor."""
@@ -291,12 +296,12 @@ class RSeq:
 
 def make_constant(c) -> RSeq:
     """The diagonal sequence (c, c, c, ...)."""
-    return RSeq(1, [RatFun.constant(c)])
+    return RSeq._canonical(1, (RatFun.constant(c),), {})
 
 
 def make_identity() -> RSeq:
     """The ramp sequence n -> n."""
-    return RSeq(1, [RatFun.identity()])
+    return RSeq._canonical(1, (RatFun.identity(),), {})
 
 
 def indicator(s: SetDescriptor) -> RSeq:
