@@ -42,6 +42,13 @@ def _check_degree(degree: int) -> None:
         raise DegreeTooLarge(f"degree {degree} is above the limit of {MAX_DEGREE}")
 
 
+def _strip(cs: list[Rat]) -> tuple[Rat, ...]:
+    """The coefficients `cs` without their trailing zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 def sign(q: Rat) -> int:
     """-1, 0 or 1 as q is negative, zero or positive."""
     n = q.numerator  # integer comparisons are much cheaper than Fraction ones
@@ -58,15 +65,13 @@ class Poly:
     coeffs: tuple[Rat, ...]
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", Poly._canonical([Fraction(c) for c in coeffs]).coeffs)
+        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
 
     @classmethod
     def _canonical(cls, cs: list[Rat]) -> "Poly":
         """The Fraction coefficients `cs` as they are, past `__init__`: only trailing zeros go."""
         p = object.__new__(cls)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(p, "coeffs", tuple(cs))
+        object.__setattr__(p, "coeffs", _strip(cs))
         return p
 
     @classmethod
@@ -101,18 +106,15 @@ class Poly:
         return Poly._canonical([-c for c in self.coeffs])
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
+        a, b = (self.coeffs, other.coeffs) if len(self.coeffs) >= len(other.coeffs) else (other.coeffs, self.coeffs)
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
         return Poly._canonical(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [_ZERO] * (len(b) - len(a))
-        for i, c in enumerate(b):
+        out = list(self.coeffs) + [_ZERO] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
             out[i] -= c
         return Poly._canonical(out)
 

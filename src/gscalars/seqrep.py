@@ -5,7 +5,7 @@ This class is closed under the pointwise ring operations and the right
 shift, every zero set is an eventually periodic set, and membership in the
 decidable ideals is therefore computable.  Values are canonical (minimal
 modulus, no redundant overrides), so structural equality means pointwise
-equality; input is validated at `RSeq(...)`, ring results skip that.
+equality; input is validated at `RSeq(...)`, and ring results skip that.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exactnum import (
     sign,
     sign_breaks,
 )
-from .sets_filters import MAX_MODULUS, SetDescriptor, _fold, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
+from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noqa: F401 (MAX_MODULUS is re-exported)
 
 # A sequence lists its overrides one by one, and the partial sums of a
 # sequence overridden at N override every index up to N; `gsc sum` of
@@ -84,11 +84,11 @@ class RSeq:
     """A representable sequence N -> Q.
 
     eval(n) is the override value when n is an exception key, otherwise
-    branches[n mod modulus](n).  The public constructor validates its input,
-    canonicalizes and insists every branch-denominator root inside its class
-    is declared as an exception, so eval is total; ring results are built
-    canonical past it.  `exceptions` is a dict, so equality and hashing are
-    written out below.
+    branches[n mod modulus](n).  The public constructor converts and
+    validates its input; ring results, whose parts are already valid, are
+    built past it.  Both canonicalize and insist every branch-denominator
+    root inside its class is declared as an exception, so eval is total.
+    `exceptions` is a dict, so equality and hashing are written out below.
     """
 
     modulus: int
@@ -106,15 +106,6 @@ class RSeq:
             raise ValueError("exception indices must be naturals")
         self._set(modulus, branches, exceptions)
 
-        # Totality: every denominator root in its class must be overridden.
-        for r, br in enumerate(self.branches):
-            if br.den.degree > 0:
-                for n in integer_roots_nonneg(br.den):
-                    if n % self.modulus == r and n not in self.exceptions:
-                        raise MissingException(
-                            f"branch denominator vanishes at n={n}; declare an exception"
-                        )
-
     def _set(self, modulus: int, branches: tuple[RatFun, ...], exceptions: dict[int, Rat]) -> "RSeq":
         # Fold to the smallest divisor modulus with identical branch pattern.
         if modulus > 1:
@@ -131,6 +122,13 @@ class RSeq:
                 continue
             pruned[n] = v
 
+        # Totality: every denominator root in its class must be overridden.
+        for r, br in enumerate(branches):
+            if br.den.degree > 0:
+                for n in integer_roots_nonneg(br.den):
+                    if n % modulus == r and n not in pruned:
+                        raise MissingException(f"branch denominator vanishes at n={n}; declare an exception")
+
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "branches", branches)
         object.__setattr__(self, "exceptions", pruned)
@@ -138,9 +136,7 @@ class RSeq:
 
     @classmethod
     def _canonical(cls, modulus: int, branches: tuple[RatFun, ...], exceptions: dict[int, Rat]) -> "RSeq":
-        """Valid parts, folded and pruned past `__init__`.  Ring results skip its
-        totality check: a result denominator divides a product of operand ones,
-        so its natural roots are operand overrides, and pruning keeps them."""
+        """Valid, converted parts, folded, pruned and checked for totality past `__init__`."""
         return object.__new__(cls)._set(modulus, branches, exceptions)
 
     # -- evaluation --------------------------------------------------------
@@ -161,6 +157,7 @@ class RSeq:
         m = lcm(self.modulus, other.modulus)
         branches = tuple(op(self.branches[r % self.modulus], other.branches[r % other.modulus]) for r in range(m))
         keys = self.exceptions.keys() | other.exceptions.keys()
+        check_overrides(len(keys))
         return RSeq._canonical(m, branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
 
     def __add__(self, other: "RSeq") -> "RSeq":
@@ -236,7 +233,7 @@ class RSeq:
         finitely many points: the classes whose leading coefficient has a
         sign in `signs`."""
         mask = sum(1 << r for r, br in enumerate(self.branches) if sign(br.num.lead) in signs)
-        return SetDescriptor._canonical(*_fold(mask, self.modulus), ())
+        return SetDescriptor._periodic(self.modulus, mask)
 
     def zero_set(self) -> SetDescriptor:
         """Exactly { n | self(n) = 0 } as a set descriptor."""

@@ -405,6 +405,11 @@ class SetDescriptor:
         object.__setattr__(s, "segments", segments)
         return s
 
+    @classmethod
+    def _periodic(cls, modulus: int, mask: int) -> "SetDescriptor":
+        """The residues of bitmask `mask` mod `modulus`, folded, built past `__init__`."""
+        return cls._canonical(*_fold(mask, modulus), ())
+
     def superset_of(self, other: "SetDescriptor", up_to_finite: bool = False) -> bool:
         """Whether all points of `other` are members, or, `up_to_finite`, all
         but finitely many: the tails decide that, as segments are finite."""

@@ -3,8 +3,8 @@
 `Poly(...)`, `RatFun(...)` and `RSeq(...)` convert and validate their
 input; the ring operations build their results through the private
 `_canonical` constructors instead.  Every such result must equal its
-rebuild through the public constructor, which also rechecks that each
-denominator root is overridden.
+rebuild through the public constructor, and the operation applied
+pointwise to its operands.
 """
 
 import random
@@ -14,9 +14,7 @@ import pytest
 from gen import random_breaking_rseq, random_rseq
 from hypothesis import given, settings, strategies as st
 
-from gscalars import exactnum, seqrep
 from gscalars.exactnum import Poly, RatFun
-from gscalars.expr import evaluate, parse
 from gscalars.quotient import archimedean_counterexample
 from gscalars.sampling import random_poly, random_rat
 from gscalars.seqrep import RSeq
@@ -60,27 +58,18 @@ def assert_canonical(r: RSeq) -> None:
 @given(operand_pairs(), st.sampled_from([Fraction(0), Fraction(-1), Fraction(5, 3)]))
 def test_results_equal_their_public_rebuild(pair, c):
     x, y = pair
-    for r in (x + y, x - y, x * y, -x, x.scale(c), y.scale(c)):
+    # Past every override and two full periods of both operands.
+    window = range(max([0, *x.exceptions, *y.exceptions]) + 2 * x.modulus * y.modulus + 1)
+    for r, value in (
+        (x + y, lambda n: x.eval(n) + y.eval(n)),
+        (x - y, lambda n: x.eval(n) - y.eval(n)),
+        (x * y, lambda n: x.eval(n) * y.eval(n)),
+        (-x, lambda n: -x.eval(n)),
+        (x.scale(c), lambda n: c * x.eval(n)),
+        (y.scale(c), lambda n: c * y.eval(n)),
+    ):
         assert_canonical(r)
-
-
-def test_ring_operations_isolate_no_roots(monkeypatch):
-    # The operands' constructions check their denominators' roots; their
-    # product and sum are built from them and check none.
-    frechet = FilterDescriptor.frechet()
-    a, b = (evaluate(parse(text), frechet) for text in ("invert(n*n + 1)", "invert(n + 3)"))
-    calls = 0
-    roots = exactnum.integer_roots_nonneg
-
-    def counting(p):
-        nonlocal calls
-        calls += 1
-        return roots(p)
-
-    monkeypatch.setattr(seqrep, "integer_roots_nonneg", counting)
-    value = a * b + b
-    assert calls == 0
-    assert value.rep == RSeq(1, [RatFun(Poly((2, 0, 1)), Poly((3, 1, 3, 1)))])
+        assert all(r.eval(n) == value(n) for n in window)
 
 
 @pytest.mark.parametrize("cls", [Poly, RatFun, RSeq, SetDescriptor])

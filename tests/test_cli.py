@@ -381,11 +381,16 @@ class TestOrderAtScale:
 
 
 class TestOverrideLimit:
-    # The first walks the partial sums to N; the second lists every override.
+    # The sums walk the partial sums to N; the lists hold every override.
     PROBES = {
         "sum-at-the-limit": f"sum(n except {{{MAX_OVERRIDES}: 1}})",
         "sum-at-a-huge-index": "sum(n except {" + "9" * DIGIT_LIMIT + ": 1})",
         "override-list": "0 except {" + ", ".join(f"{k}: 1" for k in range(MAX_OVERRIDES + 1)) + "}",
+        # Each list is under the limit; their sum holds every override of both.
+        "sum-of-override-lists": " + ".join(
+            "(0 except {" + ", ".join(f"{k}: 1" for k in keys) + "})"
+            for keys in (range(0, 3 * MAX_OVERRIDES // 5), range(3 * MAX_OVERRIDES // 5, 6 * MAX_OVERRIDES // 5))
+        ),
     }
 
     @pytest.mark.parametrize("expression", PROBES.values(), ids=PROBES.keys())
