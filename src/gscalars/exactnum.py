@@ -6,8 +6,8 @@ order, and rational functions are kept in a unique canonical form (coprime
 numerator/denominator, monic denominator) so structural equality is
 meaningful.  Inputs are converted and validated at the public constructors;
 ring results are built already canonical past them, and a constant side takes
-no gcd.  The asymptotic helpers (limit at infinity, sign breaks from Sturm
-root isolation, eventual sign, nonnegative integer roots) are the analysis
+no gcd.  The asymptotic helpers (limit and order at infinity, Sturm sign
+breaks, eventual sign, nonnegative integer roots) are the analysis
 primitives every other module leans on.  Gcds, the cancellation of common
 factors and root isolation clear denominators once and then work over Z:
 `poly_gcd`, the squarefree part and the Sturm chain all come from one
@@ -262,11 +262,15 @@ class RatFun:
             return RatFun._canonical(op(self.num, other.num), _ONE)
         if self.den == other.den:
             return RatFun(op(self.num, other.num), self.den)
-        # The product of the denominators is their lcm unless they share a factor.
+        mine, theirs = self._cofactors(other)
+        return RatFun(op(self.num * mine, other.num * theirs), self.den * mine)
+
+    def _cofactors(self, other: "RatFun") -> tuple[Poly, Poly]:
+        """(mine, theirs): self.den * mine = other.den * theirs is the lcm of the denominators."""
         mine, theirs = other.den, self.den
         if mine.degree > 0 and theirs.degree > 0 and (g := poly_gcd(mine, theirs)).degree > 0:
             mine, theirs = _divide(mine, g), _divide(theirs, g)
-        return RatFun(op(self.num * mine, other.num * theirs), self.den * mine)
+        return mine, theirs
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.is_zero():
@@ -520,6 +524,23 @@ def limit_at_infinity(f: RatFun) -> ExtendedRat:
     if dn == dd:
         return ExtendedRat.finite(ratio)
     return PLUS_INFINITY if ratio > 0 else MINUS_INFINITY
+
+
+def compare_at_infinity(f: RatFun, g: RatFun) -> int:
+    """The sign f(n) - g(n) keeps for all large n, 0 exactly when f == g.  The exponents
+    deg num - deg den decide, then the leads (dens are monic); only a tie of both forms the
+    numerator of f - g, as `f - g` does: numerators subtracted over one den, else crossed."""
+    fn, gn = f.num, g.num
+    if fn.is_zero() or gn.is_zero():
+        return sign(fn.lead) - sign(gn.lead)
+    if gap := fn.degree - f.den.degree - gn.degree + g.den.degree:
+        return sign(fn.lead) if gap > 0 else -sign(gn.lead)
+    if fn.lead != gn.lead:
+        return sign(fn.lead - gn.lead)
+    if f.den == g.den:
+        return sign((fn - gn).lead)
+    mine, theirs = f._cofactors(g)
+    return sign((fn * mine - gn * theirs).lead)
 
 
 def eventual_sign(f: RatFun) -> tuple[int, int]:

@@ -43,7 +43,7 @@ from .quotient import (
     standard_part,
     try_invert,
 )
-from .seqrep import RSeq, indicator, make_identity
+from .seqrep import RSeq, indicator, make_identity, map_classes
 from .series import partial_sums
 from .sets_filters import FilterDescriptor, SetDescriptor
 
@@ -593,10 +593,9 @@ def rseq_to_expr(x: RSeq):
         support = x.sign_set({1})
         return Call("ind", (set_to_expr(support),)) if not support.is_empty() else Lit(0)
     terms = []
-    for r, br in enumerate(x.branches):
+    for r, (br, body) in enumerate(zip(x.branches, map_classes(_ratfun_expr, x.branches))):
         if br.is_zero():
             continue
-        body = _ratfun_expr(br)
         if x.modulus > 1:
             mask = Call("ind", (SetMod(r, x.modulus),))
             body = mask if body == Lit(1) else BinOp("*", mask, body)

@@ -1,7 +1,8 @@
 """The quotient algebra of representable sequences modulo a filter ideal.
 
 A Scalar is a representative sequence pinned to a filter; two scalars are
-equal when their difference's zero set belongs to the filter.  The algebra
+equal when their difference's zero set belongs to the filter; a cofinite
+filter reads its tail from each class's branch pair at infinity.  The algebra
 embeds Q via constant sequences, carries the filter-lifted partial order,
 is not Archimedean under the Frechet filter (the ramp class dominates every
 embedded rational), and has zero divisors (disjoint-support indicators).
@@ -20,7 +21,7 @@ from .errors import FilterMismatch, InvalidArgument, NotStandardizable, ZeroDivi
 from .exactnum import Rat, RatFun, limit_at_infinity
 from .galois import in_ideal
 from .report import Report
-from .seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity
+from .seqrep import BSeqVerdict, RSeq, indicator, make_constant, make_identity, map_classes
 from .sets_filters import FilterDescriptor, SetDescriptor
 
 
@@ -87,7 +88,11 @@ def omega(f: FilterDescriptor) -> Scalar:
 
 
 def scalar_eq(a: Scalar, b: Scalar) -> bool:
+    """The zero set of a - b is in the filter; a cofinite filter reads only
+    the classes where a's and b's branches are equal, and builds no a - b."""
     a._same_algebra(b)
+    if a.filter.cofinite:
+        return a.filter.contains(a.rep.sign_tail({0}, minus=b.rep))
     return in_ideal(a.rep - b.rep, a.filter)
 
 
@@ -98,11 +103,11 @@ def le_set(a: Scalar, b: Scalar) -> SetDescriptor:
 
 
 def leq(a: Scalar, b: Scalar) -> bool:
-    """The filter-lifted order: the agreement set of a <= b is in the filter,
-    which a cofinite filter decides from the branch tails alone."""
+    """The filter-lifted order: the agreement set of a <= b is in the filter; a
+    cofinite one reads the classes where a's branch is at most b's at infinity."""
     if a.filter.cofinite:
         a._same_algebra(b)
-        return a.filter.holds(a.rep - b.rep, {-1, 0})
+        return a.filter.contains(a.rep.sign_tail({-1, 0}, minus=b.rep))
     return a.filter.contains(le_set(a, b))
 
 
@@ -123,7 +128,7 @@ def try_invert(a: Scalar) -> Scalar:
 
     # The reciprocal branches need overrides exactly at the exceptions and
     # at the zeros of nonzero branches, which are the finite part of z.
-    branches = [RatFun.constant(0) if br.is_zero() else br.reciprocal() for br in a.rep.branches]
+    branches = map_classes(lambda br: RatFun.constant(0) if br.is_zero() else br.reciprocal(), a.rep.branches)
     overrides = {}
     for n in set(a.rep.exceptions) | z.plus:
         v = a.rep.eval(n)

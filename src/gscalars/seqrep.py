@@ -18,6 +18,7 @@ from .errors import MissingException, NotConvergent, TooManyOverrides, Unbounded
 from .exactnum import (
     Rat,
     RatFun,
+    compare_at_infinity,
     integer_roots_nonneg,
     limit_at_infinity,
     sign,
@@ -30,12 +31,32 @@ from .sets_filters import MAX_MODULUS, SetDescriptor, lcm, minimal_period  # noq
 # `sum(n except {4999: 1})` takes 0.3-0.4 s on a 2-core VM, and 0.4-0.7 s
 # with a quintic branch.
 MAX_OVERRIDES = 5000
+_ZERO_BRANCHES = (RatFun.constant(0),)  # the branches of the zero sequence
 
 
 def check_overrides(count: int) -> None:
     """Refuse a sequence of `count` overrides past MAX_OVERRIDES."""
     if count > MAX_OVERRIDES:
         raise TooManyOverrides(f"a sequence may hold at most {MAX_OVERRIDES} overrides")
+
+
+def map_classes(fn, xs, ys=None) -> list:
+    """[fn(x) for x in xs], or fn(xs[r % len(xs)], ys[r % len(ys)]) for each class r mod their lcm,
+    calling fn once per distinct operand object or pair, keyed by identity, so nothing is hashed."""
+    done, out = {}, []
+    if ys is None:
+        for x in xs:
+            if (key := id(x)) not in done:
+                done[key] = fn(x)
+            out.append(done[key])
+        return out
+    p, q = len(xs), len(ys)
+    for r in range(lcm(p, q)):
+        x, y = xs[r % p], ys[r % q]
+        if (key := (id(x), id(y))) not in done:
+            done[key] = fn(x, y)
+        out.append(done[key])
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,11 +105,12 @@ class RSeq:
     """A representable sequence N -> Q.
 
     eval(n) is the override value when n is an exception key, otherwise
-    branches[n mod modulus](n).  The public constructor converts and
-    validates its input; ring results, whose parts are already valid, are
-    built past it.  Both canonicalize and insist every branch-denominator
-    root inside its class is declared as an exception, so eval is total.
-    `exceptions` is a dict, so equality and hashing are written out below.
+    branches[n mod modulus](n); walks over the classes work once per distinct
+    branch object or pair of them (`map_classes`).  The public constructor
+    converts and validates its input; ring results, whose parts are already
+    valid, are built past it.  Both canonicalize and insist that each root of
+    a branch denominator in its class is an exception, so eval is total.
+    `exceptions` is a dict, so equality and hashing are written out.
     """
 
     modulus: int
@@ -123,11 +145,11 @@ class RSeq:
             pruned[n] = v
 
         # Totality: every denominator root in its class must be overridden.
-        for r, br in enumerate(branches):
-            if br.den.degree > 0:
-                for n in integer_roots_nonneg(br.den):
-                    if n % modulus == r and n not in pruned:
-                        raise MissingException(f"branch denominator vanishes at n={n}; declare an exception")
+        roots = map_classes(lambda d: integer_roots_nonneg(d) if d.degree > 0 else (), [b.den for b in branches])
+        for r, found in enumerate(roots):
+            for n in found:
+                if n % modulus == r and n not in pruned:
+                    raise MissingException(f"branch denominator vanishes at n={n}; declare an exception")
 
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "branches", branches)
@@ -153,12 +175,11 @@ class RSeq:
     # -- ring operations -----------------------------------------------------
 
     def _merge(self, other: "RSeq", op) -> "RSeq":
-        """op (add, sub or mul) applied branch by branch and at every override."""
-        m = lcm(self.modulus, other.modulus)
-        branches = tuple(op(self.branches[r % self.modulus], other.branches[r % other.modulus]) for r in range(m))
+        """op (add, sub or mul) applied once per distinct pair of branches and at every override."""
+        branches = tuple(map_classes(op, self.branches, other.branches))
         keys = self.exceptions.keys() | other.exceptions.keys()
         check_overrides(len(keys))
-        return RSeq._canonical(m, branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
+        return RSeq._canonical(len(branches), branches, {n: op(self.eval(n), other.eval(n)) for n in keys})
 
     def __add__(self, other: "RSeq") -> "RSeq":
         return self._merge(other, operator.add)
@@ -213,27 +234,31 @@ class RSeq:
         """
         m = self.modulus
         probe = (1 in signs) != (-1 in signs)
+
+        def walk(br: RatFun) -> tuple:
+            eventual, lo, gaps = sign(br.num.lead) in signs, 0, []  # the denominator is monic
+            for c in (breaks := sign_breaks(br)):
+                if probe and lo < c and (sign(br(lo)) in signs) != eventual:
+                    gaps.append((lo, c))
+                lo = c + 1
+            return eventual, breaks, gaps
+
         residues, runs, points = [], [], set(self.exceptions)
-        for r, br in enumerate(self.branches):
-            eventual = sign(br.num.lead) in signs  # the denominator is monic
+        for r, (eventual, breaks, gaps) in enumerate(map_classes(walk, self.branches)):
             if eventual:
                 residues.append(r)
-            lo = 0
-            for c in sign_breaks(br):
-                if probe and lo < c and (sign(br(lo)) in signs) != eventual:
-                    runs.append((lo, c, m, 1 << r))
-                if c % m == r:
-                    points.add(c)
-                lo = c + 1
+            runs += [(lo, c, m, 1 << r) for lo, c in gaps]
+            points.update(c for c in breaks if c % m == r)
         plus = [n for n in points if sign(self.eval(n)) in signs]
         return SetDescriptor(m, residues, plus=plus, minus=points.difference(plus), flips=runs)
 
-    def sign_tail(self, signs) -> SetDescriptor:
-        """The periodic tail of `sign_set(signs)`, which differs from it at
-        finitely many points: the classes whose leading coefficient has a
-        sign in `signs`."""
-        mask = sum(1 << r for r, br in enumerate(self.branches) if sign(br.num.lead) in signs)
-        return SetDescriptor._periodic(self.modulus, mask)
+    def sign_tail(self, signs, minus: "RSeq | None" = None) -> SetDescriptor:
+        """The periodic tail of { n | sign(self(n) - minus(n)) in signs }, minus
+        0 by default: the classes mod the lcm of the moduli whose two branches
+        compare at infinity with a sign in `signs`.  No difference is built."""
+        order = map_classes(compare_at_infinity, self.branches, minus.branches if minus else _ZERO_BRANCHES)
+        mask = sum(1 << r for r, s in enumerate(order) if s in signs)
+        return SetDescriptor._periodic(len(order), mask)
 
     def zero_set(self) -> SetDescriptor:
         """Exactly { n | self(n) = 0 } as a set descriptor."""

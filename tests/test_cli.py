@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import NAMED
 
 from gscalars import cli, exactnum, expr, series, sets_filters
 from gscalars.cli import main, parse_filter_flag
@@ -402,6 +403,34 @@ class TestOverrideLimit:
     def test_sums_below_the_limit_evaluate(self):
         code, text = run_cli("eval", f"sum(n except {{{MAX_OVERRIDES - 1}: 1}})")
         assert code == 0 and text.endswith(" [Infinite]\n")
+
+
+class TestCofiniteComparisons:
+    """Under a cofinite filter `eq` and `le` never build the difference of
+    their operands (tests/golden/cofinite-comparisons.txt holds the answers
+    that this makes possible); elsewhere the limits still apply."""
+
+    PRINCIPAL = {
+        "eq-override-lists": (["eq", "{A}", "{B}"], "TooManyOverrides"),
+        "le-override-lists": (["eval", "le({A}, {B})"], "TooManyOverrides"),
+        "eq-past-the-degree-limit": (["eq", "1/({p}+1)", "1/({p}+2)"], "DegreeTooLarge"),
+        "le-past-the-degree-limit": (["eval", "le(1/({p}+1), 1/({p}+2))"], "DegreeTooLarge"),
+    }
+
+    @pytest.mark.parametrize("argv,error", PRINCIPAL.values(), ids=PRINCIPAL.keys())
+    def test_principal_filter_keeps_its_error_line(self, argv, error):
+        operands = [a.format(**NAMED) for a in argv[1:]]
+        assert run_cli(argv[0], "--filter=principal:{1,2}", "--", *operands) == (1, f"error: {error}\n")
+
+    def test_the_lcm_of_the_moduli_is_still_refused(self):
+        assert run_cli("eq", "ind(0 mod 9973)", "ind(0 mod 9967)") == (1, "error: ModulusTooLarge\n")
+
+    def test_a_tie_whose_cross_multiplication_passes_the_degree_limit_is_refused(self):
+        # Equal degrees and leading coefficients: the numerators are
+        # cross-multiplied over coprime denominators of degree 13.
+        left, right = "({p}+1)/({p}+2)".format(**NAMED), "({p}+3)/({p}+4)".format(**NAMED)
+        assert run_cli("eq", left, right) == (1, "error: DegreeTooLarge\n")
+        assert run_cli("eval", f"le({left}, {right})") == (1, "error: DegreeTooLarge\n")
 
 
 class TestDegreeLimit:

@@ -1,7 +1,7 @@
 """Byte-for-byte gate on `gsc` stdout: `check all` at a fixed seed, the
-oracle reports for every configuration that runs in seconds, and a
+oracle reports for every configuration that runs in seconds, a
 transcript of fixed `eval`/`classify`/`eq`/`sum` queries under three
-filters.
+filters, and one of comparisons under the cofinite ones.
 
 The files under tests/golden/ are the reference.  Regenerate them only when
 an output change is intended, from the repository root:
@@ -13,6 +13,8 @@ an output change is intended, from the repository root:
             --lambda "${c%-*}" --field "${c#*-}" > "tests/golden/oracle-$c.txt"
     done
     PYTHONPATH=src python3 tests/test_golden.py > tests/golden/queries.txt
+    PYTHONPATH=src python3 tests/test_golden.py comparisons \
+        > tests/golden/cofinite-comparisons.txt
 """
 
 import io
@@ -63,6 +65,38 @@ def query_transcript() -> str:
     return buf.getvalue()
 
 
+# Under a cofinite filter `eq` and `le` compare the operands' branches at
+# infinity and never build their difference, so these pairs, whose
+# difference would hold 6000 overrides or need a common denominator of
+# degree 26, get answers.  Operands are written by name in the transcript.
+NAMED = {
+    "A": "0 except {" + ", ".join(f"{k}: 1" for k in range(3000)) + "}",
+    "B": "0 except {" + ", ".join(f"{k}: 1" for k in range(3000, 6000)) + "}",
+    "p": "*".join(["n"] * 13),
+}
+COMPARISONS = [
+    ("eq", ["{A}", "{B}"]), ("eval", ["le({A}, {B})"]), ("eval", ["le({B}, ({A}) + 1)"]),
+    ("eq", ["1/({p}+1)", "1/({p}+2)"]), ("eval", ["le(1/({p}+1), 1/({p}+2))"]),
+    ("eval", ["le(1/({p}+2), 1/({p}+1))"]),
+]
+
+
+def comparison_transcript() -> str:
+    """Each comparison under each cofinite filter of FILTERS, as in the
+    queries transcript, with the operands named in a header."""
+    buf = io.StringIO()
+    for name, text in NAMED.items():
+        shown = text if len(text) < 80 else f"{text[:38]} ... {text[-19:]}"
+        print(f"# {name} = {shown}", file=buf)
+    for command, operands in COMPARISONS:
+        for filt in FILTERS[:2]:
+            argv = [command, f"--filter={filt}", "--", *operands]
+            print("$ gsc " + shlex.join(argv), file=buf)
+            argv[3:] = [o.format(**NAMED) for o in operands]
+            print(f"exit {main(argv, out=buf)}", file=buf)
+    return buf.getvalue()
+
+
 def stdout_of(argv) -> str:
     buf = io.StringIO()
     assert main(argv, out=buf) == 0
@@ -76,6 +110,7 @@ CASES = [
         for lam, p in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3)]
     ),
     ("queries", query_transcript),
+    ("cofinite-comparisons", comparison_transcript),
 ]
 
 
@@ -86,4 +121,4 @@ def test_stdout_matches_golden(name, produce, monkeypatch):
 
 
 if __name__ == "__main__":
-    sys.stdout.write(query_transcript())
+    sys.stdout.write(comparison_transcript() if sys.argv[1:] == ["comparisons"] else query_transcript())

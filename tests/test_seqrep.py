@@ -198,11 +198,12 @@ class TestZeroSet:
     def test_matches_pointwise_signs_across_denominator_breaks(self):
         # safe_denominator has no root above -1, so test_matches_window meets
         # no denominator break; here they sit among the numerator's breaks,
-        # at naturals, fractions and irrationals, on up to 12 classes.
+        # at naturals, fractions and irrationals, on up to 12 classes, then
+        # on up to 60, where each branch repeats over many classes.
         rng = random.Random(43)
         subsets = [set(s) for k in (1, 2, 3) for s in itertools.combinations((-1, 0, 1), k)]
-        for _ in range(80):
-            x = random_breaking_rseq(rng)
+        for max_modulus in [12] * 80 + [60] * 40:
+            x = random_breaking_rseq(rng, max_modulus)
             window = max(root_free_beyond(branch_polys(x)), *x.exceptions, 0) + 2 * x.modulus + 1
             signs = [sign(x.eval(n)) for n in range(window)]
             for subset in subsets:
